@@ -110,9 +110,6 @@ class Subalgebra:
             return r.mask in self.members
         return int(r) in self.members
 
-    def contains_network_masks(self, masks: Iterable[int]) -> bool:
-        return all(m in self.members for m in masks)
-
     def smallest_member(self, mask: int) -> Optional[int]:
         """Smallest member containing ``mask`` (sets closed under
         intersection have a unique one), or None."""
@@ -171,18 +168,12 @@ def closure(calc: Calculus, seed: Iterable) -> Subalgebra:
     return Subalgebra(calc, masks)
 
 
-def _triple_tables(calc: Calculus, masks: Iterable[int]):
-    arr = np.array(sorted(masks), dtype=np.uint16)
-    comp = calc.comp_table
-    return arr, comp
-
-
 def is_distributive(calc: Calculus, members: Iterable) -> CheckResult:
     """Check both distributivity identities over all member triples with
     nonempty intersection.  Closure of the set is not assumed."""
-    arr, comp = _triple_tables(calc, _as_masks(calc, members))
-    m = arr.size
-    if m == 0:
+    arr = np.array(sorted(_as_masks(calc, members)), dtype=np.uint16)
+    comp = calc.comp_table
+    if arr.size == 0:
         return CheckResult(True)
     st = arr[:, None] & arr[None, :]
     nz = st != 0
@@ -214,7 +205,7 @@ def helly_check(calc_or_sub, members: Iterable = None) -> CheckResult:
         calc, masks = calc_or_sub.calculus, calc_or_sub.members
     else:
         calc, masks = calc_or_sub, _as_masks(calc_or_sub, members)
-    arr, _ = _triple_tables(calc, masks)
+    arr = np.array(sorted(masks), dtype=np.uint16)
     if arr.size == 0:
         return CheckResult(True)
     pair = arr[:, None] & arr[None, :]

@@ -38,11 +38,6 @@ def _report(args, command, outcome, metrics=None, artifacts=None, extra=None):
     return doc
 
 
-def _load_net(args, path):
-    net = network.load(path)
-    return net
-
-
 def _resolve_sub(name):
     if name in (None, "auto"):
         return None
@@ -92,7 +87,7 @@ def cmd_subalg(args):
 
 
 def cmd_closure(args):
-    net = _load_net(args, args.net)
+    net = network.load(args.net)
     res = reasoning.a_closure(net)
     if not res.consistent:
         _report(args, "closure", "inconsistent",
@@ -111,7 +106,7 @@ def cmd_closure(args):
 
 
 def cmd_consistent(args):
-    net = _load_net(args, args.net)
+    net = network.load(args.net)
     ok = reasoning.is_consistent(net, _resolve_sub(args.subalgebra),
                                  guard=args.guard)
     _report(args, "consistent", "consistent" if ok else "inconsistent",
@@ -122,7 +117,7 @@ def cmd_consistent(args):
 
 
 def cmd_solve(args):
-    net = _load_net(args, args.net)
+    net = network.load(args.net)
     scenario = reasoning.solve(net, guard=args.guard)
     if scenario is None:
         _report(args, "solve", "no-scenario", extra={"input": net.digest()})
@@ -136,9 +131,9 @@ def cmd_solve(args):
 
 
 def cmd_entails(args):
-    net = _load_net(args, args.net)
+    net = network.load(args.net)
     rel = net.calculus.relation(args.relation)
-    i, j = args.i - 1, args.j - 1
+    i, j = net.index_of(args.i - 1), net.index_of(args.j - 1)
     ok = reasoning.entails(net, i, j, rel, guard=args.guard)
     _report(args, "entails", "entailed" if ok else "not-entailed",
             extra={"input": net.digest()})
@@ -148,9 +143,9 @@ def cmd_entails(args):
 
 
 def cmd_redundant(args):
-    net = _load_net(args, args.net)
-    ok = redundancy.is_redundant(net, args.i - 1, args.j - 1,
-                                 guard=args.guard)
+    net = network.load(args.net)
+    ok = redundancy.is_redundant(net, net.index_of(args.i - 1),
+                                 net.index_of(args.j - 1), guard=args.guard)
     _report(args, "redundant", "redundant" if ok else "not-redundant",
             extra={"input": net.digest()})
     if not args.json:
@@ -159,7 +154,7 @@ def cmd_redundant(args):
 
 
 def cmd_minimal_check(args):
-    net = _load_net(args, args.net)
+    net = network.load(args.net)
     ok = reasoning.check_minimal(net, guard=args.guard)
     _report(args, "minimal-check", "minimal" if ok else "not-minimal",
             extra={"input": net.digest()})
@@ -173,13 +168,17 @@ def _pairs_1based(pairs):
 
 
 def cmd_prime(args):
-    net = _load_net(args, args.net)
+    net = network.load(args.net)
     t0 = time.perf_counter()
     if args.order:
         order = []
         for chunk in args.order.split(","):
-            a, b = chunk.split("-")
-            order.append((int(a) - 1, int(b) - 1))
+            try:
+                a, b = (int(x) for x in chunk.split("-"))
+            except ValueError:
+                raise RccError(f"malformed --order pair {chunk!r}; "
+                               "expected I-J") from None
+            order.append((net.index_of(a - 1), net.index_of(b - 1)))
         out_net = redundancy.prime_iterative(net, order, guard=args.guard)
         method = "iterative"
         checks = 0
@@ -208,7 +207,7 @@ def cmd_prime(args):
 
 
 def cmd_core(args):
-    net = _load_net(args, args.net)
+    net = network.load(args.net)
     t0 = time.perf_counter()
     rep = redundancy.core(net, guard=args.guard)
     elapsed = time.perf_counter() - t0
@@ -278,7 +277,7 @@ def cmd_geom2net(args):
 
 
 def cmd_reconstitute(args):
-    net = _load_net(args, args.net)
+    net = network.load(args.net)
     with open(args.regions, encoding="utf-8") as fh:
         regions = geometry.regions_from_json(fh.read())
     full = geometry.hybrid_reconstitute(net, regions)

@@ -1,11 +1,12 @@
 """Path consistency, consistency decisions, and the backtracking oracle.
 
 The a-closure (algebraic closure) is the fixed point of the refinement
-rule R_ij <- (R_ik . R_kj) & R_ij.  It is enforced by a FIFO queue over
-variable pairs; popping a pair propagates through it in both directions.
-The fixed point is unique, so the queue order does not affect the result.
-Two interchangeable engines are used: a plain-Python one for small
-networks and a numpy row-vectorized one for large networks.
+rule R_ij <- (R_ik . R_kj) & R_ij.  :func:`a_closure` reaches it with one
+engine for every size: sweeps over blocks of rows that apply the rule for
+all k at once, repeated until a sweep changes nothing.  The fixed point
+is unique, so the processing order does not affect the result.  The
+backtracking oracle keeps its own plain-Python pair-queue propagator,
+which re-closes a matrix after a single entry is pinned.
 
 For networks over a tractable subclass (and for basic networks) the
 a-closure alone decides consistency.  Everything else goes through
@@ -49,8 +50,8 @@ __all__ = [
 
 DEFAULT_GUARD = 12
 
-# networks at or below this size use the plain-Python propagation engine
-_VECTOR_THRESHOLD = 40
+# bounds the entries of the temporary gathered per block of rows in _close
+_BLOCK_CELLS = 2 ** 15
 
 
 @dataclass
@@ -59,7 +60,8 @@ class AClosureResult:
 
     ``network`` is the path-consistent refinement when consistent;
     ``witness`` is the triple (i, k, j) whose rule application emptied
-    entry (i, j) otherwise.  ``updates`` counts entry refinements.
+    entry (i, j) otherwise.  ``updates`` sums, over the row sweeps, the
+    row entries each sweep changed; an already closed input reports 0.
     """
 
     consistent: bool
@@ -68,16 +70,13 @@ class AClosureResult:
     updates: int = 0
 
 
-def _lists_from(net: Network) -> list[list[int]]:
-    return net.matrix.astype(int).tolist()
-
-
 def _pca_lists(calc, m: list[list[int]], n: int,
-               queue=None) -> tuple[Optional[tuple[int, int, int]], int]:
-    """Enforce path consistency on a mask matrix in place.
+               queue=None) -> Optional[tuple[int, int, int]]:
+    """The oracle's propagator: path consistency on a list matrix in place.
 
     ``queue`` seeds the pair queue; by default every non-universal pair.
-    Returns (witness, updates); witness is None on success.
+    After one entry is pinned, seeding with that pair alone re-closes the
+    matrix.  Returns the witness, or None on success.
     """
     comp = calc._comp_list
     conv = calc._conv_list
@@ -89,7 +88,6 @@ def _pca_lists(calc, m: list[list[int]], n: int,
     inq = [[False] * n for _ in range(n)]
     for i, j in q:
         inq[i][j] = True
-    updates = 0
     while q:
         i, j = q.popleft()
         inq[i][j] = False
@@ -105,8 +103,7 @@ def _pca_lists(calc, m: list[list[int]], n: int,
             new = old & crow[row_j[k]]
             if new != old:
                 if new == 0:
-                    return (i, j, k), updates
-                updates += 1
+                    return i, j, k
                 row_i[k] = new
                 row_k[i] = conv[new]
                 a, b = (i, k) if i < k else (k, i)
@@ -117,68 +114,65 @@ def _pca_lists(calc, m: list[list[int]], n: int,
             new = old & comp[row_k[i]][rij]
             if new != old:
                 if new == 0:
-                    return (k, i, j), updates
-                updates += 1
+                    return k, i, j
                 row_k[j] = new
                 row_j[k] = conv[new]
                 a, b = (k, j) if k < j else (j, k)
                 if not inq[a][b]:
                     inq[a][b] = True
                     q.append((a, b))
-    return None, updates
+    return None
 
 
-def _pca_numpy(calc, m: np.ndarray, n: int,
-               queue=None) -> tuple[Optional[tuple[int, int, int]], int]:
-    """Row-vectorized variant of :func:`_pca_lists`; same fixed point."""
-    comp = calc.comp_table
+def _close(calc, m: np.ndarray) -> tuple[Optional[tuple[int, int, int]], int]:
+    """Enforce path consistency on a uint16 mask matrix in place.
+
+    Sweeps the rows in blocks, replacing each block by
+    AND_k comp[m[i, k], m[k, :]] and mirroring its converse into the
+    matching columns, until a sweep changes nothing.  The k = i term is
+    row i itself (the diagonal is EQ), so entries only shrink and the
+    sweeps terminate.  Returns (witness, updates) as
+    described in :class:`AClosureResult`; witness is None on success.
+    """
+    # comp_table[r, s] sits at (r << size) | s of the flattened table;
+    # one flat gather is several times faster than a two-index gather
+    comp = calc.comp_table.ravel()
     conv = calc.conv_table
-    star = calc.universal
-    if queue is None:
-        iu, ju = np.nonzero(np.triu(m != star, k=1))
-        queue = list(zip(iu.tolist(), ju.tolist()))
-    q = deque(queue)
-    inq = np.zeros((n, n), dtype=bool)
-    for i, j in q:
-        inq[i, j] = True
+    n = m.shape[0]
+    height = max(1, _BLOCK_CELLS // (n * n))
     updates = 0
-    while q:
-        i, j = q.popleft()
-        inq[i, j] = False
-        rij = int(m[i, j])
-        cand = m[i] & comp[rij, m[j]]
-        cand[i] = m[i, i]
-        cand[j] = m[i, j]
-        changed = np.flatnonzero(cand != m[i])
-        if changed.size:
-            if not cand[changed].all():
-                k = int(changed[np.flatnonzero(cand[changed] == 0)[0]])
-                return (i, j, k), updates
-            updates += int(changed.size)
-            m[i] = cand
-            m[:, i] = conv[cand]
-            for k in changed.tolist():
-                a, b = (i, k) if i < k else (k, i)
-                if not inq[a, b]:
-                    inq[a, b] = True
-                    q.append((a, b))
-        cand = m[:, j] & comp[m[:, i], rij]
-        cand[i] = m[i, j]
-        cand[j] = m[j, j]
-        changed = np.flatnonzero(cand != m[:, j])
-        if changed.size:
-            if not cand[changed].all():
-                k = int(changed[np.flatnonzero(cand[changed] == 0)[0]])
-                return (k, i, j), updates
-            updates += int(changed.size)
-            m[:, j] = cand
-            m[j] = conv[cand]
-            for k in changed.tolist():
-                a, b = (k, j) if k < j else (j, k)
-                if not inq[a, b]:
-                    inq[a, b] = True
-                    q.append((a, b))
+    changed = True
+    while changed:
+        changed = False
+        for lo in range(0, n, height):
+            rows = m[lo:lo + height]
+            pairs = (rows[:, :, None].astype(np.intp) << calc.size) | m
+            new = np.bitwise_and.reduce(comp[pairs], axis=1)
+            diff = int(np.count_nonzero(new != rows))
+            if not diff:
+                continue
+            if not new.all():
+                r, j = np.argwhere(new == 0)[0].tolist()
+                return _witness(calc, m, lo + r, j), updates
+            updates += diff
+            changed = True
+            rows[:] = new
+            m[:, lo:lo + height] = conv[new].T
     return None, updates
+
+
+def _witness(calc, m: np.ndarray, i: int, j: int) -> tuple[int, int, int]:
+    """Replay the AND that emptied entry (i, j) of m and return the triple
+    (i, k, j) at which it first became empty.  The k = i and k = j terms
+    leave a nonempty entry unchanged, so k differs from both."""
+    comp = calc._comp_list
+    row_i = m[i].tolist()
+    col_j = m[:, j].tolist()
+    acc = row_i[j]
+    for k in range(len(row_i)):
+        acc &= comp[row_i[k]][col_j[k]]
+        if not acc:
+            return i, k, j
 
 
 def a_closure(net: Network) -> AClosureResult:
@@ -187,44 +181,42 @@ def a_closure(net: Network) -> AClosureResult:
     The result network refines the input, has the same solution set, and
     is independent of the processing order.
     """
-    calc = net.calculus
-    n = net.n
-    if n <= _VECTOR_THRESHOLD:
-        m = _lists_from(net)
-        witness, updates = _pca_lists(calc, m, n)
-        if witness is not None:
-            return AClosureResult(False, None, witness, updates)
-        out = Network(calc, n, net.labels)
-        out.matrix = np.array(m, dtype=np.uint16)
-        return AClosureResult(True, out, None, updates)
     m = net.matrix.copy()
-    witness, updates = _pca_numpy(calc, m, n)
+    witness, updates = _close(net.calculus, m)
     if witness is not None:
         return AClosureResult(False, None, witness, updates)
-    out = Network(calc, n, net.labels)
+    out = Network(net.calculus, net.n, net.labels)
     out.matrix = m
     return AClosureResult(True, out, None, updates)
 
 
+def _outside(net: Network, sub: Subalgebra) -> set[int]:
+    """The entry masks of the network that are not members of ``sub``."""
+    present = np.flatnonzero(np.bincount(net.matrix.ravel())).tolist()
+    return set(present) - sub.members
+
+
 def detect_tractable(net: Network) -> Optional[Subalgebra]:
     """Smallest built-in tractable subalgebra containing every entry."""
-    masks = set(np.unique(net.matrix).tolist())
     for sub in builtin_subalgebras(net.calculus):
-        if sub.tractable and masks <= sub.members:
+        if sub.tractable and not _outside(net, sub):
             return sub
     return None
+
+
+def _require_members(net: Network, sub: Subalgebra) -> None:
+    extra = _outside(net, sub)
+    if extra:
+        bad = ", ".join(net.calculus.format(m) for m in sorted(extra))
+        raise MembershipError(
+            f"entries outside {sub.name or 'the subalgebra'}: {bad}")
 
 
 def _check_membership(net: Network, sub: Subalgebra) -> None:
     if not sub.tractable:
         raise MembershipError(
             f"subalgebra {sub.name or '?'} is not flagged tractable")
-    masks = set(np.unique(net.matrix).tolist())
-    extra = masks - sub.members
-    if extra:
-        bad = ", ".join(net.calculus.format(m) for m in sorted(extra))
-        raise MembershipError(
-            f"entries outside {sub.name or 'the subalgebra'}: {bad}")
+    _require_members(net, sub)
 
 
 def is_consistent(net: Network, subclass: Subalgebra = None,
@@ -274,8 +266,7 @@ def _scenarios(calc, m: list[list[int]], n: int) -> Iterator[list[list[int]]]:
         child = [row[:] for row in m]
         child[i][j] = basic
         child[j][i] = calc._conv_list[basic]
-        witness, _ = _pca_lists(calc, child, n, queue=[(i, j)])
-        if witness is None:
+        if _pca_lists(calc, child, n, queue=[(i, j)]) is None:
             yield from _scenarios(calc, child, n)
 
 
@@ -299,9 +290,8 @@ def _scenario_mats(net: Network,
             f"n={net.n} exceeds the oracle guard {guard}; raise it or use "
             "a tractable subclass")
     calc = net.calculus
-    m = _lists_from(net)
-    witness, _ = _pca_lists(calc, m, net.n)
-    if witness is not None:
+    m = net.matrix.astype(int).tolist()
+    if _pca_lists(calc, m, net.n) is not None:
         return
     yield from _scenarios(calc, m, net.n)
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import Subalgebra, builtin_subalgebras
+from .algebra import Subalgebra
 from .errors import (
     InconsistentNetworkError,
     MembershipError,
@@ -29,7 +29,14 @@ from .errors import (
     NotAllDifferentError,
 )
 from .network import Network, remove_constraint
-from .reasoning import DEFAULT_GUARD, a_closure, entails
+from .reasoning import (
+    DEFAULT_GUARD,
+    _outside,
+    _require_members,
+    a_closure,
+    entails,
+    solve,
+)
 
 __all__ = [
     "RedundancyReport",
@@ -141,10 +148,9 @@ def detect_distributive(net: Network) -> Optional[Subalgebra]:
     from .algebra import d5_14, d5_20, d8_41, d8_64
     from .calculus import RCC5
 
-    masks = set(np.unique(net.matrix).tolist())
     pair = (d5_14(), d5_20()) if net.calculus is RCC5 else (d8_41(), d8_64())
     for sub in pair:
-        if masks <= sub.members:
+        if not _outside(net, sub):
             return sub
     return None
 
@@ -167,12 +173,7 @@ def core_algorithm1(net: Network,
                 "entries do not fit a built-in distributive subalgebra; "
                 "pass one explicitly to override")
     else:
-        masks = set(np.unique(net.matrix).tolist())
-        extra = masks - subalgebra.members
-        if extra:
-            bad = ", ".join(net.calculus.format(m) for m in sorted(extra))
-            raise MembershipError(
-                f"entries outside {subalgebra.name or 'the subalgebra'}: {bad}")
+        _require_members(net, subalgebra)
     res = a_closure(net)
     if not res.consistent:
         raise InconsistentNetworkError(
@@ -187,12 +188,7 @@ def core_algorithm1(net: Network,
 
     star = net.calculus.universal
     report = RedundancyReport(method="algorithm1")
-    if n <= 48:
-        redundant, checks = _q_scan_lists(net.calculus,
-                                          res.network.matrix, n)
-    else:
-        redundant, checks = _q_scan_vector(net.calculus,
-                                           res.network.matrix, n)
+    redundant, checks = _q_scan_lists(net.calculus, res.network.matrix, n)
     report.checks = checks
     out = net.copy()
     for i, j in redundant:
@@ -230,41 +226,24 @@ def _q_scan_lists(calc, closed_matrix, n):
     return redundant, checks
 
 
-def _q_scan_vector(calc, closed_matrix, n):
-    """Row-vectorized variant of :func:`_q_scan_lists`.
+def _solutions_within(net: Network, allowed: np.ndarray, guard: int) -> bool:
+    """Does every solution of the network keep each entry inside the
+    matching mask of ``allowed``?
 
-    For a fixed i all pairs (i, j) consume intermediates k in the same
-    ascending order, so their Q sequences are independent and can be
-    advanced together; per-pair early exit becomes a done mask.  Results
-    and check counts match the scalar scan exactly.
+    Each basic that an entry allows beyond ``allowed`` is pinned in turn;
+    the answer is yes iff no pinned copy is solvable.
     """
-    comp = calc.comp_table
-    star = calc.universal
-    s = closed_matrix
-    redundant = []
-    checks = 0
-    for i in range(n):
-        undone = np.zeros(n, dtype=bool)
-        undone[i + 1:] = True
-        q = np.full(n, star, dtype=np.uint16)
-        target = s[i]
-        for k in range(n):
-            if k == i:
-                continue
-            active = undone.copy()
-            active[k] = False
-            if not active.any():
-                if not undone.any():
-                    break
-                continue
-            checks += int(active.sum())
-            q[active] &= comp[int(s[i, k]), s[k, active]]
-            hit = active & (q == target)
-            if hit.any():
-                undone[hit] = False
-                for j in np.flatnonzero(hit).tolist():
-                    redundant.append((i, j))
-    return redundant, checks
+    calc = net.calculus
+    extra = net.matrix & ~allowed & calc.universal
+    rows, cols = np.nonzero(np.triu(extra, k=1))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        for b in range(calc.size):
+            if int(extra[i, j]) >> b & 1:
+                probe = net.copy()
+                probe.set_mask(i, j, 1 << b)
+                if solve(probe, guard=guard) is not None:
+                    return False
+    return True
 
 
 def equivalent(a: Network, b: Network, guard: int = DEFAULT_GUARD) -> bool:
@@ -272,12 +251,10 @@ def equivalent(a: Network, b: Network, guard: int = DEFAULT_GUARD) -> bool:
 
     When each network is over a distributive subalgebra, its a-closure is
     its minimal network, so equivalence is a-closure equality.  Otherwise
-    the consistent scenario sets are compared, subject to the guard; when
-    one network refines the other, only the weaker side is enumerated.
+    no solution of either may use a basic that the other excludes.  The
+    backtracking oracle is asked about each such basic in turn, subject to
+    the guard, so identical networks need no search at all.
     """
-    from .network import refines
-    from .reasoning import _scenario_mats
-
     if a.calculus is not b.calculus or a.n != b.n:
         raise NetworkShapeError("networks differ in calculus or size")
     if detect_distributive(a) is not None and detect_distributive(b) is not None:
@@ -285,23 +262,9 @@ def equivalent(a: Network, b: Network, guard: int = DEFAULT_GUARD) -> bool:
         if not ra.consistent or not rb.consistent:
             return ra.consistent == rb.consistent
         return bool(np.array_equal(ra.network.matrix, rb.network.matrix))
-    if refines(a, b) or refines(b, a):
-        strong, weak = (a, b) if refines(a, b) else (b, a)
-        # every consistent scenario of the weaker side must fit the stronger
-        sm = strong.matrix.astype(int).tolist()
-        n = a.n
-        for mat in _scenario_mats(weak, guard=guard):
-            for i in range(n):
-                row, srow = mat[i], sm[i]
-                for j in range(i + 1, n):
-                    if row[j] & ~srow[j]:
-                        return False
-        return True
-    sa = {bytes(x for row in mat for x in row)
-          for mat in _scenario_mats(a, guard=guard)}
-    sb = {bytes(x for row in mat for x in row)
-          for mat in _scenario_mats(b, guard=guard)}
-    return sa == sb
+    meet = a.matrix & b.matrix
+    return (_solutions_within(a, meet, guard)
+            and _solutions_within(b, meet, guard))
 
 
 def weaken_scenario(scenario: Network, sub: Subalgebra, rng: random.Random,

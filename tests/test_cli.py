@@ -58,6 +58,12 @@ def test_closure_writes_network(capsys, example1_path, tmp_path, example1):
     assert load(out_path) == a_closure(example1).network
 
 
+def test_closure_json_reports_updates(capsys, example1_path):
+    code, out, _ = run(capsys, "closure", example1_path, "--json")
+    assert code == 0
+    assert json.loads(out)["metrics"]["updates"] > 0
+
+
 def test_closure_inconsistent_reports_witness(capsys, bad_path):
     code, out, _ = run(capsys, "closure", bad_path, "--json")
     assert code == 1
@@ -76,6 +82,19 @@ def test_solve_and_entails(capsys, example1_path, bad_path):
 def test_redundant_exit_codes(capsys, example1_path):
     assert run(capsys, "redundant", example1_path, "1", "2")[0] == 0
     assert run(capsys, "redundant", example1_path, "3", "4")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("redundant", "0", "2"),
+    ("entails", "0", "3", "PP"),
+    ("entails", "1", "9", "DR"),
+    ("prime", "--order", "1-2,x"),
+], ids=["redundant-zero", "entails-zero", "entails-past-n", "order-chunk"])
+def test_bad_variable_numbers_exit_2(capsys, example1_path, argv):
+    command, *rest = argv
+    code, out, err = run(capsys, command, example1_path, *rest)
+    assert code == 2 and not out
+    assert err.startswith("error: ")
 
 
 def test_prime_removes_the_redundant_edge(capsys, example1_path, tmp_path):

@@ -17,8 +17,8 @@ from rcckit.errors import (
 )
 from rcckit.network import remove_constraint, restrict
 from rcckit.reasoning import (
+    _close,
     _pca_lists,
-    _pca_numpy,
     a_closure,
     all_different,
     check_minimal,
@@ -80,22 +80,51 @@ def test_aclosure_preserves_scenario_set(example1):
     assert before == after
 
 
-def test_both_engines_reach_the_same_fixed_point():
-    rng = random.Random(4)
-    for k in range(25):
-        net = gen.random_scenario(rng.randint(3, 7), 100 + k,
-                                  rcc5=bool(k % 2))
-        weak = net.copy()
-        for i, j in net.constraint_pairs():
-            if rng.random() < 0.5:
-                weak.set_mask(i, j, net.calculus.universal)
-        m1 = weak.matrix.astype(int).tolist()
-        w1, _ = _pca_lists(weak.calculus, m1, weak.n)
-        m2 = weak.matrix.copy()
-        w2, _ = _pca_numpy(weak.calculus, m2, weak.n)
-        assert (w1 is None) == (w2 is None)
-        if w1 is None:
-            assert np.array_equal(np.array(m1, dtype=np.uint16), m2)
+def _closure_inputs(n, seed, rcc5):
+    """A weakened scenario (consistent) and two likely inconsistent
+    networks: the scenario with a few entries switched to another basic,
+    and a network of random one- to three-basic entries."""
+    rng = random.Random(seed)
+    sc = gen.random_scenario(n, seed, rcc5=rcc5)
+    calc = sc.calculus
+    weak = sc.copy()
+    for i, j in sc.constraint_pairs():
+        if rng.random() < 0.5:
+            weak.set_mask(i, j, calc.universal)
+        elif rng.random() < 0.3:
+            weak.set_mask(i, j, sc.mask(i, j) | 1 << rng.randrange(calc.size))
+    flipped = weak.copy()
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        flipped.set_mask(i, j, 1 << rng.randrange(calc.size))
+    noise = Network(calc, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            mask = 0
+            for _ in range(rng.randint(1, 3)):
+                mask |= 1 << rng.randrange(calc.size)
+            noise.set_mask(i, j, mask)
+    return weak, flipped, noise
+
+
+def test_close_matches_the_queue_reference():
+    verdicts = set()
+    for rcc5, n in itertools.product(
+            (True, False), (3, 4, 5, 6, 8, 11, 17, 30, 41, 49, 80, 200)):
+        for net in _closure_inputs(n, 300 + n, rcc5):
+            ref = net.matrix.astype(int).tolist()
+            ref_witness = _pca_lists(net.calculus, ref, n)
+            m = net.matrix.copy()
+            witness, updates = _close(net.calculus, m)
+            assert (witness is None) == (ref_witness is None), n
+            verdicts.add(witness is None)
+            if witness is None:
+                assert np.array_equal(m, np.array(ref, dtype=np.uint16)), n
+                assert (updates > 0) == (not np.array_equal(m, net.matrix))
+                assert _close(net.calculus, m) == (None, 0)
+            else:
+                assert len(set(witness)) == 3, (n, witness)
+    assert verdicts == {True, False}
 
 
 def test_is_consistent_examples(example1, bad_triangle):

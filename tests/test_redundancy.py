@@ -1,6 +1,7 @@
 """Redundancy detection, cores, and the unique prime subnetwork."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from rcckit.errors import (
     NotAllDifferentError,
 )
 from rcckit.network import remove_constraint
-from rcckit.reasoning import a_closure
+from rcckit.reasoning import a_closure, detect_tractable
 from rcckit.redundancy import (
     core,
     core_algorithm1,
@@ -157,6 +158,60 @@ def test_equivalent_distributive_inconsistent_cases():
     b[1, 2] = "NTPP"
     assert not equivalent(a, b)
     assert equivalent(a, a)
+
+
+def _intractable(n, seed):
+    """An RCC8 scenario with up to two random basics added to each entry,
+    redrawn until no built-in tractable subalgebra holds it."""
+    rng = random.Random(seed)
+    sc = gen.random_scenario(n, seed)
+    while True:
+        net = sc.copy()
+        for i in range(n):
+            for j in range(i + 1, n):
+                mask = net.mask(i, j)
+                for _ in range(rng.randint(0, 2)):
+                    mask |= 1 << rng.randrange(RCC8.size)
+                net.set_mask(i, j, mask)
+        if detect_tractable(net) is None:
+            return net
+
+
+def test_equivalent_outside_every_tractable_class():
+    net = _intractable(12, 1041)
+    start = time.perf_counter()
+    assert equivalent(net, net.copy())
+    assert time.perf_counter() - start < 1.0
+    redundant = [p for p in net.constraint_pairs() if is_redundant(net, *p)]
+    needed = [p for p in net.constraint_pairs() if p not in redundant]
+    assert len(redundant) >= 2 and needed
+    assert not equivalent(net, remove_constraint(net, *needed[0]))
+    # neither side refines the other
+    assert equivalent(remove_constraint(net, *redundant[0]),
+                      remove_constraint(net, *redundant[-1]))
+    assert not equivalent(remove_constraint(net, *redundant[0]),
+                          remove_constraint(net, *needed[0]))
+
+
+@pytest.mark.parametrize("rcc5,sub", [(True, d5_20()), (False, d8_41())],
+                         ids=["D5_20", "D8_41"])
+def test_core_algorithm1_matches_the_full_q_intersection(rcc5, sub):
+    net = weaken_scenario(gen.random_scenario(60, 61, rcc5=rcc5), sub,
+                          random.Random(61))
+    rep = core_algorithm1(net, sub)
+    calc = net.calculus
+    s = a_closure(net).network.matrix.astype(int).tolist()
+    expected = set()
+    for i in range(net.n):
+        for j in range(i + 1, net.n):
+            q = calc.universal
+            for k in range(net.n):
+                if k != i and k != j:
+                    q &= calc.compose_masks(s[i][k], s[k][j])
+            if q == s[i][j] or net.mask(i, j) == calc.universal:
+                expected.add((i, j))
+    assert rep.nontrivial
+    assert rep.redundant == expected
 
 
 @pytest.mark.parametrize("sub", ALL_SUBS, ids=lambda s: s.name)
