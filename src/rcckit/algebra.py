@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .calculus import RCC5, RCC8, Calculus, Relation
+from .errors import UnknownNameError
 
 __all__ = [
     "Subalgebra",
@@ -327,5 +328,5 @@ def by_name(name: str) -> Subalgebra:
     try:
         return table[name.upper()]
     except KeyError:
-        raise ValueError(f"unknown subalgebra {name!r}; expected one of "
-                         + ", ".join(sorted(table)))
+        raise UnknownNameError(f"unknown subalgebra {name!r}; expected one of "
+                               + ", ".join(sorted(table))) from None

@@ -12,6 +12,10 @@ simultaneously removed set is still entailed by what remains.
 
 Both return networks equivalent to the input, and their kept edge sets
 always contain the prime subnetwork's.
+
+On RCC5 and RCC8 both return the same network: r . * = * . r = * for
+every nonempty r, so a constraint Simple has removed can never justify
+another removal, which is SimpleExt's unmarked-justifier rule.
 """
 
 from __future__ import annotations

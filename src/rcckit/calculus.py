@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CalculusMismatchError, EmptyPathError
+from .errors import CalculusMismatchError, EmptyPathError, UnknownNameError
 
 __all__ = [
     "Calculus",
@@ -223,7 +223,7 @@ class Calculus:
         for part in text.split("|"):
             part = part.strip()
             if part not in self._index:
-                raise ValueError(
+                raise UnknownNameError(
                     f"unknown {self.name} basic relation {part!r}")
             mask |= 1 << self._index[part]
         return mask
@@ -264,7 +264,8 @@ def get_calculus(name: str) -> Calculus:
     try:
         return _BY_NAME[name.upper()]
     except KeyError:
-        raise ValueError(f"unknown calculus {name!r} (expected RCC5 or RCC8)")
+        raise UnknownNameError(
+            f"unknown calculus {name!r} (expected RCC5 or RCC8)") from None
 
 
 @dataclass(frozen=True)

@@ -95,8 +95,8 @@ def cmd_closure(args):
                 extra={"input": net.digest(), "witness": list(res.witness)})
         if not args.json:
             i, k, j = res.witness
-            print(f"inconsistent: entry ({i + 1},{j + 1}) emptied via "
-                  f"{k + 1}")
+            how = "is empty in the input" if k == i else f"emptied via {k + 1}"
+            print(f"inconsistent: entry ({i + 1},{j + 1}) {how}")
         return 1
     artifacts = _write_or_print(args, network.save(res.network), args.out)
     _report(args, "closure", "consistent",
@@ -225,6 +225,21 @@ def cmd_core(args):
     return 0
 
 
+def _map(func, workers, *columns):
+    """func over the argument columns, in a pool of ``workers`` processes
+    when more than one is asked for and can be started."""
+    if workers > 1 and len(columns[0]) > 1:
+        import concurrent.futures as cf
+
+        try:
+            with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(func, *columns))
+        except OSError as e:
+            print(f"worker pool unavailable ({e}); running serially",
+                  file=sys.stderr)
+    return list(map(func, *columns))
+
+
 def _compare_one(path, guard):
     rows, _ = baselines.compare([network.load(path)], guard=guard)
     return rows[0]
@@ -234,21 +249,9 @@ def cmd_compare(args):
     for name in args.algo.split(","):
         if name not in ("prime", "simpleext", "simple"):
             raise RccError(f"unknown algorithm {name!r}")
-    if args.workers > 1 and len(args.nets) > 1:
-        import concurrent.futures as cf
-
-        try:
-            with cf.ProcessPoolExecutor(max_workers=args.workers) as pool:
-                rows = list(pool.map(_compare_one, args.nets,
-                                     [args.guard] * len(args.nets)))
-        except OSError as e:
-            print(f"worker pool unavailable ({e}); running serially",
-                  file=sys.stderr)
-            rows = [_compare_one(p, args.guard) for p in args.nets]
-        csv_text = baselines.rows_to_csv(rows)
-    else:
-        nets = [network.load(p) for p in args.nets]
-        rows, csv_text = baselines.compare(nets, guard=args.guard)
+    rows = _map(_compare_one, args.workers, args.nets,
+                [args.guard] * len(args.nets))
+    csv_text = baselines.rows_to_csv(rows)
     artifacts = []
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -312,22 +315,8 @@ def cmd_bench(args):
     sizes = [int(s) for s in args.sizes.split(",") if s]
     sub_name = args.subalgebra if args.subalgebra not in (None, "auto") \
         else "D8_41"
-    rows = []
-    if args.workers > 1 and sizes:
-        import concurrent.futures as cf
-
-        try:
-            with cf.ProcessPoolExecutor(max_workers=args.workers) as pool:
-                rows = list(pool.map(
-                    _bench_one, sizes, [args.seed] * len(sizes),
-                    [args.profile] * len(sizes), [sub_name] * len(sizes)))
-        except OSError as e:
-            print(f"worker pool unavailable ({e}); running serially",
-                  file=sys.stderr)
-            rows = []
-    if not rows:
-        rows = [_bench_one(size, args.seed, args.profile, sub_name)
-                for size in sizes]
+    rows = _map(_bench_one, args.workers, sizes, [args.seed] * len(sizes),
+                [args.profile] * len(sizes), [sub_name] * len(sizes))
     csv_text = baselines.rows_to_csv(rows)
     artifacts = []
     if args.out:
@@ -358,28 +347,34 @@ def cmd_bench(args):
     return 0
 
 
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument(*names, **kwargs)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit a JSON report instead of plain text")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for all randomized commands")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for batch commands")
-    common.add_argument("--guard", type=int, default=reasoning.DEFAULT_GUARD,
-                        help="size limit for the backtracking oracle")
-    common.add_argument("--subalgebra", default="auto",
-                        choices=["auto", "BHAT5", "BHAT8", "D5_14", "D5_20",
-                                 "D8_41", "D8_64", "H5"],
-                        help="subalgebra to assume instead of auto-detection")
+    # each subcommand takes --json plus only the flags it reads
+    common = _flag("--json", action="store_true",
+                   help="emit a JSON report instead of plain text")
+    seed = _flag("--seed", type=int, default=0,
+                 help="seed for the randomized generators")
+    workers = _flag("--workers", type=int, default=1,
+                    help="worker processes for batch commands")
+    guard = _flag("--guard", type=int, default=reasoning.DEFAULT_GUARD,
+                  help="size limit for the backtracking oracle")
+    subalgebra = _flag("--subalgebra", default="auto",
+                       choices=["auto", "BHAT5", "BHAT8", "D5_14", "D5_20",
+                                "D8_41", "D8_64", "H5"],
+                       help="subalgebra to assume instead of auto-detection")
 
     parser = argparse.ArgumentParser(
         prog="rcckit",
         description="RCC5/RCC8 reasoning, redundancy, and geometry tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, func, *flags, **kwargs):
+        p = sub.add_parser(name, parents=[common, *flags], **kwargs)
         p.set_defaults(func=func)
         return p
 
@@ -391,42 +386,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("subalg", cmd_subalg, help="print a built-in subalgebra")
     p.add_argument("name")
 
-    for name, func, extra_out in (
-            ("closure", cmd_closure, True),
-            ("consistent", cmd_consistent, False),
-            ("solve", cmd_solve, True)):
-        p = add(name, func)
+    for name, func, flags, extra_out in (
+            ("closure", cmd_closure, (), True),
+            ("consistent", cmd_consistent, (guard, subalgebra), False),
+            ("solve", cmd_solve, (guard,), True)):
+        p = add(name, func, *flags)
         p.add_argument("net")
         if extra_out:
             p.add_argument("-o", "--out")
 
-    p = add("entails", cmd_entails, help="does the network entail i REL j?")
+    p = add("entails", cmd_entails, guard,
+            help="does the network entail i REL j?")
     p.add_argument("net")
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
     p.add_argument("relation")
 
-    p = add("redundant", cmd_redundant,
+    p = add("redundant", cmd_redundant, guard,
             help="is constraint (i,j) redundant?")
     p.add_argument("net")
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
 
-    p = add("minimal-check", cmd_minimal_check,
+    p = add("minimal-check", cmd_minimal_check, guard,
             help="is every basic in every entry feasible?")
     p.add_argument("net")
 
-    p = add("prime", cmd_prime, help="compute a prime subnetwork")
+    p = add("prime", cmd_prime, guard, subalgebra,
+            help="compute a prime subnetwork")
     p.add_argument("net")
     p.add_argument("-o", "--out")
     p.add_argument("--order",
                    help="iterative removal order, e.g. '1-2,2-3,1-3'")
 
-    p = add("core", cmd_core, help="per-constraint redundancy sweep")
+    p = add("core", cmd_core, guard, help="per-constraint redundancy sweep")
     p.add_argument("net")
     p.add_argument("-o", "--out")
 
-    p = add("compare", cmd_compare, help="prime vs SimpleExt vs Simple")
+    p = add("compare", cmd_compare, guard, workers,
+            help="prime vs SimpleExt vs Simple")
     p.add_argument("nets", nargs="+")
     p.add_argument("--algo", default="prime,simpleext,simple")
     p.add_argument("--out")
@@ -441,14 +439,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("regions")
     p.add_argument("-o", "--out")
 
-    p = add("gen-regions", cmd_gen_regions,
+    p = add("gen-regions", cmd_gen_regions, seed,
             help="deterministic synthetic regions")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--profile", default="mixed",
                    choices=["scattered", "nested", "mixed"])
     p.add_argument("-o", "--out")
 
-    p = add("bench", cmd_bench, help="scalability harness")
+    p = add("bench", cmd_bench, seed, workers, subalgebra,
+            help="scalability harness")
     p.add_argument("--sizes", default="25,50,100")
     p.add_argument("--profile", default="nested",
                    choices=["scattered", "nested", "mixed"])

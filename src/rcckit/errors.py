@@ -9,6 +9,10 @@ class CalculusMismatchError(RccError):
     """Two operands belong to different calculi."""
 
 
+class UnknownNameError(RccError, ValueError):
+    """A calculus, basic relation or subalgebra name is not known."""
+
+
 class EmptyPathError(RccError):
     """A path operation was given no relations."""
 

@@ -24,6 +24,7 @@ with the general predicates.
 from __future__ import annotations
 
 import json
+import numbers
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,6 +168,10 @@ class Region:
 
     def __init__(self, id: str, ring: Sequence[Sequence[int]]):
         self.id = str(id)
+        if not all(len(p) == 2 and all(isinstance(v, numbers.Integral)
+                                       and not isinstance(v, bool) for v in p)
+                   for p in ring):
+            raise GeometryError(f"region {id!r}: vertices must be integer pairs")
         ring = [(int(x), int(y)) for x, y in ring]
         if len(ring) < 3:
             raise GeometryError(f"region {id!r}: fewer than 3 vertices")
@@ -535,5 +540,5 @@ def regions_from_json(text: str) -> list[Region]:
     try:
         doc = json.loads(text)
         return [Region(r["id"], r["ring"]) for r in doc["regions"]]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise GeometryError(f"bad region document: {e}")

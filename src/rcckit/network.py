@@ -16,6 +16,8 @@ File format (line oriented, ``#`` starts a comment)::
 
 Only pairs with i<j are written by :func:`save`; the loader mirrors
 converses and fills gaps with the universal relation.
+
+Files and JSON documents may declare at most ``MAX_VARS`` variables.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ __all__ = [
     "amalgamate",
     "to_rcc5",
 ]
+
+# largest variable count a file or JSON document may declare (a 32 MB matrix)
+MAX_VARS = 4096
 
 
 class Network:
@@ -103,7 +108,8 @@ class Network:
                 raise NetworkShapeError(f"unknown variable {var!r}")
         i = int(var)
         if not 0 <= i < self.n:
-            raise NetworkShapeError(f"variable index {i} out of range")
+            raise NetworkShapeError(
+                f"variable number {i + 1} out of range 1..{self.n}")
         return i
 
     # -- structure -------------------------------------------------------
@@ -183,17 +189,18 @@ def loads(text: str) -> Network:
             continue
         parts = line.split()
         if parts[0] == "calculus":
-            if len(parts) != 2:
-                raise NetworkFormatError("expected 'calculus NAME'", lineno)
+            if len(parts) != 2 or calc is not None:
+                raise NetworkFormatError("expected one 'calculus NAME' line",
+                                         lineno)
             try:
                 calc = get_calculus(parts[1])
             except ValueError as e:
                 raise NetworkFormatError(str(e), lineno)
             continue
         if parts[0] == "vars":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise NetworkFormatError("expected 'vars N'", lineno)
-            n = int(parts[1])
+            if len(parts) != 2 or n is not None:
+                raise NetworkFormatError("expected one 'vars N' line", lineno)
+            n = _var_count(parts[1], lineno)
             continue
         if parts[0] == "labels":
             labels = parts[1:]
@@ -282,11 +289,32 @@ def to_json(net: Network) -> dict:
     }
 
 
+def _var_count(value, lineno=None) -> int:
+    """A declared variable count, checked before any allocation."""
+    if isinstance(value, str) and value.isdecimal() and len(value) < 10:
+        value = int(value)
+    if type(value) is not int or not 1 <= value <= MAX_VARS:
+        raise NetworkFormatError(
+            f"vars must be an integer in 1..{MAX_VARS}, got {value!r}", lineno)
+    return value
+
+
 def from_json(doc: dict) -> Network:
-    calc = get_calculus(doc["calculus"])
-    net = Network(calc, int(doc["vars"]), doc.get("labels"))
-    for i, j, rel in doc.get("constraints", []):
-        net.set_mask(int(i) - 1, int(j) - 1, calc.parse(rel))
+    """Inverse of :func:`to_json`; a malformed document raises an
+    ``RccError``."""
+    try:
+        calc = get_calculus(doc["calculus"])
+        labels = doc.get("labels")
+        if labels is not None and not all(isinstance(x, str) for x in labels):
+            raise TypeError(f"labels {labels!r}")
+        net = Network(calc, _var_count(doc["vars"]), labels)
+        for i, j, rel in doc.get("constraints", []):
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"variable numbers {i!r}, {j!r}")
+            net.set_mask(net.index_of(i - 1), net.index_of(j - 1),
+                         calc.parse(rel))
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise NetworkFormatError(f"bad network document: {e!r}") from None
     net.validate()
     return net
 

@@ -3,16 +3,17 @@
 The a-closure (algebraic closure) is the fixed point of the refinement
 rule R_ij <- (R_ik . R_kj) & R_ij.  :func:`a_closure` reaches it with one
 engine for every size: sweeps over blocks of rows that apply the rule for
-all k at once, repeated until a sweep changes nothing.  The fixed point
-is unique, so the processing order does not affect the result.  The
-backtracking oracle keeps its own plain-Python pair-queue propagator,
-which re-closes a matrix after a single entry is pinned.
+all k at once, repeated until a sweep changes nothing.  For networks over
+a tractable subclass (and for basic networks) it decides consistency.
 
-For networks over a tractable subclass (and for basic networks) the
-a-closure alone decides consistency.  Everything else goes through
-:func:`solve`, a backtracking search over basic refinements that serves
-as the independent oracle for the redundancy machinery; it is guarded by
-a size limit because scenario enumeration is exponential.
+The backtracking oracle asks one question, through one probe, ``_narrow``:
+does the network keep a solution once some entries are narrowed?  The
+network is closed once, into a list matrix, by the oracle's own pair-queue
+propagator ``_pca_lists``; each probe copies that matrix, intersects its
+pins and re-closes from the pinned pairs alone, and the search branches
+through the same probe.  The oracle never calls :func:`a_closure`, so it
+checks Algorithm 1 independently.  Searches are guarded by a size limit,
+because scenario enumeration is exponential.
 """
 
 from __future__ import annotations
@@ -60,8 +61,10 @@ class AClosureResult:
 
     ``network`` is the path-consistent refinement when consistent;
     ``witness`` is the triple (i, k, j) whose rule application emptied
-    entry (i, j) otherwise.  ``updates`` sums, over the row sweeps, the
-    row entries each sweep changed; an already closed input reports 0.
+    entry (i, j) otherwise; an entry already empty in the input is
+    reported as (i, i, j) with i < j, since no rule application emptied
+    it.  ``updates`` sums, over the row sweeps, the row entries each sweep
+    changed; an already closed input reports 0.
     """
 
     consistent: bool
@@ -70,20 +73,17 @@ class AClosureResult:
     updates: int = 0
 
 
-def _pca_lists(calc, m: list[list[int]], n: int,
-               queue=None) -> Optional[tuple[int, int, int]]:
+def _pca_lists(calc, m: list[list[int]],
+               queue) -> Optional[tuple[int, int, int]]:
     """The oracle's propagator: path consistency on a list matrix in place.
 
-    ``queue`` seeds the pair queue; by default every non-universal pair.
-    After one entry is pinned, seeding with that pair alone re-closes the
-    matrix.  Returns the witness, or None on success.
+    ``queue`` holds the pairs (i, j) narrowed since the matrix was last
+    path-consistent; seeded with every non-universal pair, it closes a
+    matrix from scratch.  Returns the witness, or None on success.
     """
     comp = calc._comp_list
     conv = calc._conv_list
-    star = calc.universal
-    if queue is None:
-        queue = [(i, j) for i in range(n) for j in range(i + 1, n)
-                 if m[i][j] != star]
+    n = len(m)
     q = deque(queue)
     inq = [[False] * n for _ in range(n)]
     for i, j in q:
@@ -134,6 +134,9 @@ def _close(calc, m: np.ndarray) -> tuple[Optional[tuple[int, int, int]], int]:
     sweeps terminate.  Returns (witness, updates) as
     described in :class:`AClosureResult`; witness is None on success.
     """
+    if not m.all():
+        i, j = np.argwhere(m == 0)[0].tolist()
+        return (i, i, j), 0
     # comp_table[r, s] sits at (r << size) | s of the flattened table;
     # one flat gather is several times faster than a two-index gather
     comp = calc.comp_table.ravel()
@@ -235,12 +238,65 @@ def is_consistent(net: Network, subclass: Subalgebra = None,
     return solve(net, guard=guard) is not None
 
 
-def _branch_entry(m: list[list[int]], n: int) -> Optional[tuple[int, int]]:
+def _check_guard(n: int, guard: int) -> None:
+    if n > guard:
+        raise GuardExceededError(
+            f"n={n} exceeds the oracle guard {guard}; raise it or use "
+            "a tractable subclass")
+
+
+def _narrow(calc, m: list[list[int]], pins,
+            search: bool = False) -> Optional[list[list[int]]]:
+    """The oracle's probe: copy the list matrix ``m``, intersect each pin
+    (i, j, mask) into its entry and re-close from the pinned pairs alone
+    (``m`` is path-consistent apart from them).  Returns the closed copy,
+    or with ``search`` its first scenario; None when there is none."""
+    conv = calc._conv_list
+    child = [row[:] for row in m]
+    for i, j, mask in pins:
+        child[i][j] &= mask
+        child[j][i] = conv[child[i][j]]
+        if not child[i][j]:
+            return None
+    if _pca_lists(calc, child, [(i, j) for i, j, _ in pins]) is not None:
+        return None
+    return next(_scenarios(calc, child), None) if search else child
+
+
+def _closed(net: Network) -> Optional[list[list[int]]]:
+    """The network closed from scratch: every non-universal entry pinned."""
+    m = net.matrix.tolist()
+    star = net.calculus.universal
+    return _narrow(net.calculus, m, [(i, j, row[j]) for i, row in enumerate(m)
+                                     for j in range(i + 1, len(row))
+                                     if row[j] != star])
+
+
+def _basic_pins(masks: np.ndarray) -> list[tuple[int, int, int]]:
+    """One pin (i, j, basic) per basic of each entry above the diagonal."""
+    rows = masks.tolist()
+    return [(i, j, 1 << b) for i, row in enumerate(rows)
+            for j in range(i + 1, len(row))
+            for b in range(row[j].bit_length()) if row[j] >> b & 1]
+
+
+def _solvable(net: Network, pins, guard: int,
+              search: bool = True) -> Iterator[bool]:
+    """Lazily, per pin: has the network a solution inside it?  Without
+    ``search`` a probe's closure decides, as over a tractable subclass."""
+    if pins and search:
+        _check_guard(net.n, guard)
+    base = _closed(net)
+    for pin in pins:
+        yield (base is not None
+               and _narrow(net.calculus, base, [pin], search) is not None)
+
+
+def _branch_entry(m: list[list[int]]) -> Optional[tuple[int, int]]:
     best = None
     best_count = 1 << 20
-    for i in range(n):
-        row = m[i]
-        for j in range(i + 1, n):
+    for i, row in enumerate(m):
+        for j in range(i + 1, len(row)):
             c = row[j].bit_count()
             if 1 < c < best_count:
                 best = (i, j)
@@ -250,24 +306,22 @@ def _branch_entry(m: list[list[int]], n: int) -> Optional[tuple[int, int]]:
     return best
 
 
-def _scenarios(calc, m: list[list[int]], n: int) -> Iterator[list[list[int]]]:
+def _scenarios(calc, m) -> Iterator[list[list[int]]]:
     """Backtracking enumeration over basic refinements of a path-consistent
-    matrix.  Yields path-consistent complete basic matrices."""
-    spot = _branch_entry(m, n)
+    list matrix, or of none for None.  Yields path-consistent complete
+    basic matrices."""
+    if m is None:
+        return
+    spot = _branch_entry(m)
     if spot is None:
         yield m
         return
     i, j = spot
-    mask = m[i][j]
     for b in range(calc.size):
-        basic = 1 << b
-        if not mask & basic:
-            continue
-        child = [row[:] for row in m]
-        child[i][j] = basic
-        child[j][i] = calc._conv_list[basic]
-        if _pca_lists(calc, child, n, queue=[(i, j)]) is None:
-            yield from _scenarios(calc, child, n)
+        if m[i][j] >> b & 1:
+            child = _narrow(calc, m, [(i, j, 1 << b)])
+            if child is not None:
+                yield from _scenarios(calc, child)
 
 
 def solve(net: Network, guard: int = DEFAULT_GUARD) -> Optional[Network]:
@@ -282,24 +336,11 @@ def solve(net: Network, guard: int = DEFAULT_GUARD) -> Optional[Network]:
     return None
 
 
-def _scenario_mats(net: Network,
-                   guard: int = DEFAULT_GUARD) -> Iterator[list[list[int]]]:
-    """Raw enumeration; yielded matrices are reused between iterations."""
-    if net.n > guard:
-        raise GuardExceededError(
-            f"n={net.n} exceeds the oracle guard {guard}; raise it or use "
-            "a tractable subclass")
-    calc = net.calculus
-    m = net.matrix.astype(int).tolist()
-    if _pca_lists(calc, m, net.n) is not None:
-        return
-    yield from _scenarios(calc, m, net.n)
-
-
 def enumerate_scenarios(net: Network,
                         guard: int = DEFAULT_GUARD) -> Iterator[Network]:
     """All consistent scenarios of the network, deterministically ordered."""
-    for sol in _scenario_mats(net, guard=guard):
+    _check_guard(net.n, guard)
+    for sol in _scenarios(net.calculus, _closed(net)):
         out = Network(net.calculus, net.n, net.labels)
         out.matrix = np.array(sol, dtype=np.uint16)
         yield out
@@ -309,27 +350,26 @@ def entails(net: Network, i: int, j: int, r: Relation,
             guard: int = DEFAULT_GUARD) -> bool:
     """Does every solution place (v_i, v_j) inside r?
 
-    Decided basic-by-basic: the network entails r iff adding any basic
-    outside r to the (i, j) entry is inconsistent.
+    Decided basic-by-basic: the network entails r iff pinning the (i, j)
+    entry to any basic outside r leaves no solution.  Each basic and the
+    universal relation lie in every built-in subalgebra, so one detection
+    on the network with (i, j) widened to universal covers every probe.
     """
     if i == j:
         raise NetworkShapeError("entailment is defined for distinct variables")
     calc = net.calculus
     if r.calculus is not calc:
         raise NetworkShapeError("relation from a different calculus")
-    rest = calc.universal & ~r.mask
-    if rest == 0:
+    outside = net.mask(i, j) & ~r.mask
+    pins = [(i, j, 1 << b) for b in range(calc.size) if outside >> b & 1]
+    if not pins:
         return True
-    current = net.mask(i, j)
-    for b in range(calc.size):
-        basic = 1 << b
-        if not rest & basic or not current & basic:
-            continue
-        probe = net.copy()
-        probe.set_mask(i, j, basic)
-        if is_consistent(probe, guard=guard):
-            return False
-    return True
+    wide = net
+    if net.mask(i, j) != calc.universal:
+        wide = net.copy()
+        wide.set_mask(i, j, calc.universal)
+    search = detect_tractable(wide) is None and not wide.is_basic
+    return not any(_solvable(net, pins, guard, search))
 
 
 @dataclass
@@ -366,22 +406,9 @@ def all_different(net: Network, subclass: Subalgebra = None) -> AllDifferentResu
 
 def check_minimal(net: Network, guard: int = DEFAULT_GUARD) -> bool:
     """Oracle check that every basic in every entry is feasible."""
-    res = a_closure(net)
-    if not res.consistent:
+    if _closed(net) is None:
         raise InconsistentNetworkError("minimality is about consistent networks")
-    calc = net.calculus
-    for i in range(net.n):
-        for j in range(i + 1, net.n):
-            mask = net.mask(i, j)
-            for b in range(calc.size):
-                basic = 1 << b
-                if not mask & basic:
-                    continue
-                pinned = net.copy()
-                pinned.set_mask(i, j, basic)
-                if solve(pinned, guard=guard) is None:
-                    return False
-    return True
+    return all(_solvable(net, _basic_pins(net.matrix), guard))
 
 
 def check_weak_global(net: Network, guard: int = DEFAULT_GUARD) -> bool:
@@ -394,18 +421,15 @@ def check_weak_global(net: Network, guard: int = DEFAULT_GUARD) -> bool:
     """
     from itertools import combinations
 
-    if net.n > guard:
-        raise GuardExceededError(
-            f"n={net.n} exceeds the oracle guard {guard}")
+    _check_guard(net.n, guard)
+    calc = net.calculus
+    base = _closed(net)
     for size in range(2, net.n):
         for subset in combinations(range(net.n), size):
-            sub = restrict(net, subset)
-            for scenario in enumerate_scenarios(sub, guard=guard):
-                extended = net.copy()
-                for a, i in enumerate(subset):
-                    for b, j in enumerate(subset):
-                        if a < b:
-                            extended.set_mask(i, j, scenario.mask(a, b))
-                if solve(extended, guard=guard) is None:
+            for scenario in _scenarios(calc, _closed(restrict(net, subset))):
+                pins = [(i, j, scenario[a][b]) for (a, i), (b, j)
+                        in combinations(enumerate(subset), 2)]
+                if base is None or _narrow(calc, base, pins,
+                                           search=True) is None:
                     return False
     return True

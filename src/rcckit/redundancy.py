@@ -31,11 +31,12 @@ from .errors import (
 from .network import Network, remove_constraint
 from .reasoning import (
     DEFAULT_GUARD,
+    _basic_pins,
     _outside,
     _require_members,
+    _solvable,
     a_closure,
     entails,
-    solve,
 )
 
 __all__ = [
@@ -226,26 +227,6 @@ def _q_scan_lists(calc, closed_matrix, n):
     return redundant, checks
 
 
-def _solutions_within(net: Network, allowed: np.ndarray, guard: int) -> bool:
-    """Does every solution of the network keep each entry inside the
-    matching mask of ``allowed``?
-
-    Each basic that an entry allows beyond ``allowed`` is pinned in turn;
-    the answer is yes iff no pinned copy is solvable.
-    """
-    calc = net.calculus
-    extra = net.matrix & ~allowed & calc.universal
-    rows, cols = np.nonzero(np.triu(extra, k=1))
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        for b in range(calc.size):
-            if int(extra[i, j]) >> b & 1:
-                probe = net.copy()
-                probe.set_mask(i, j, 1 << b)
-                if solve(probe, guard=guard) is not None:
-                    return False
-    return True
-
-
 def equivalent(a: Network, b: Network, guard: int = DEFAULT_GUARD) -> bool:
     """Do two networks over the same variables have the same solutions?
 
@@ -263,8 +244,8 @@ def equivalent(a: Network, b: Network, guard: int = DEFAULT_GUARD) -> bool:
             return ra.consistent == rb.consistent
         return bool(np.array_equal(ra.network.matrix, rb.network.matrix))
     meet = a.matrix & b.matrix
-    return (_solutions_within(a, meet, guard)
-            and _solutions_within(b, meet, guard))
+    return not any(any(_solvable(net, _basic_pins(net.matrix & ~meet), guard))
+                   for net in (a, b))
 
 
 def weaken_scenario(scenario: Network, sub: Subalgebra, rng: random.Random,

@@ -84,17 +84,51 @@ def test_redundant_exit_codes(capsys, example1_path):
     assert run(capsys, "redundant", example1_path, "3", "4")[0] == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ("redundant", "0", "2"),
-    ("entails", "0", "3", "PP"),
-    ("entails", "1", "9", "DR"),
-    ("prime", "--order", "1-2,x"),
-], ids=["redundant-zero", "entails-zero", "entails-past-n", "order-chunk"])
-def test_bad_variable_numbers_exit_2(capsys, example1_path, argv):
+@pytest.mark.parametrize("argv,message", [
+    (("redundant", "0", "2"), "variable number 0 out of range 1..5"),
+    (("entails", "0", "3", "PP"), "variable number 0 out of range 1..5"),
+    (("entails", "1", "9", "DR"), "variable number 9 out of range 1..5"),
+    (("prime", "--order", "1-2,x"), "malformed --order pair 'x'"),
+    (("entails", "1", "2", "FOO"), "unknown RCC5 basic relation 'FOO'"),
+], ids=["redundant-zero", "entails-zero", "entails-past-n", "order-chunk",
+        "relation-name"])
+def test_bad_variable_numbers_exit_2(capsys, example1_path, argv, message):
     command, *rest = argv
     code, out, err = run(capsys, command, example1_path, *rest)
     assert code == 2 and not out
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("closure", "--seed", "5"),
+    ("closure", "--workers", "3"),
+    ("closure", "--subalgebra", "H5"),
+    ("core", "--subalgebra", "H5"),
+    ("entails", "1", "2", "PP", "--seed", "1"),
+    ("prime", "--workers", "2"),
+    ("reconstitute", "regions.json", "--guard", "5"),
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flags_a_subcommand_ignores_are_usage_errors(capsys, example1_path,
+                                                     argv):
+    command, *rest = argv
+    with pytest.raises(SystemExit) as err:
+        main([command, example1_path, *rest])
+    assert err.value.code == 2
+    assert run(capsys, "consistent", example1_path, "--guard", "5",
+               "--subalgebra", "H5")[0] == 0
+    assert run(capsys, "compare", example1_path, "--guard", "5",
+               "--workers", "1")[0] == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closure_names_an_empty_input_entry(capsys, tmp_path, n):
+    path = tmp_path / "empty.net"
+    path.write_text(f"calculus RCC5\nvars {n}\n1 2 0\n")
+    code, out, _ = run(capsys, "closure", str(path))
+    assert code == 1
+    assert out == "inconsistent: entry (1,2) is empty in the input\n"
+    code, out, _ = run(capsys, "closure", str(path), "--json")
+    assert code == 1 and json.loads(out)["witness"] == [0, 0, 1]
 
 
 def test_prime_removes_the_redundant_edge(capsys, example1_path, tmp_path):

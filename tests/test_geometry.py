@@ -1,5 +1,6 @@
 """Exact polygon predicates, the region generator, and reconstitution."""
 
+import json
 import random
 
 import pytest
@@ -108,6 +109,20 @@ def test_degenerate_polygons_rejected():
         Region("x", [(0, 0), (2, 2), (2, 0), (0, 2)])  # bowtie
     with pytest.raises(GeometryError):
         Region("x", [(0, 0), (2, 0), (2, 2), (0, 0+0)])  # repeated vertex
+
+
+@pytest.mark.parametrize("ring", [
+    [(0, 0), (1.5, 0), (0, 2)],
+    [(0, 0), (2.0, 0), (0, 2)],
+    [(0, 0), (2, 0), (0, "2")],
+    [(0, 0), (2, 0), (0, True)],
+    [(0, 0, 0), (2, 0), (0, 2)],
+], ids=["fraction", "integral-float", "string", "bool", "triple"])
+def test_non_integer_coordinates_rejected(ring):
+    with pytest.raises(GeometryError):
+        Region("x", ring)
+    with pytest.raises(GeometryError):
+        regions_from_json(json.dumps({"regions": [{"id": "x", "ring": ring}]}))
 
 
 def test_clockwise_input_is_normalized():

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcckit import RCC5, RCC8, Network
 from rcckit.errors import (
@@ -11,8 +13,11 @@ from rcckit.errors import (
     InconsistentNetworkError,
     NetworkFormatError,
     NetworkShapeError,
+    RccError,
 )
+from rcckit.geometry import regions_from_json
 from rcckit.network import (
+    MAX_VARS,
     amalgamate,
     from_json,
     loads,
@@ -112,6 +117,89 @@ def test_json_round_trip(example1):
     assert doc["schema"] == 1
     assert from_json(doc) == example1
     assert from_json(json.loads(json.dumps(doc))) == example1
+
+
+@pytest.mark.parametrize("doc", [
+    {"calculus": "RCC8"},
+    {"calculus": "RCC8", "vars": 2.5},
+    {"calculus": "RCC8", "vars": 99999999},
+    {"calculus": "IA", "vars": 2},
+    {"calculus": 5, "vars": 2},
+    {"calculus": "RCC5", "vars": 2, "labels": [1, 2]},
+    {"calculus": "RCC5", "vars": 2, "constraints": [[0, 2, "PP"]]},
+    {"calculus": "RCC5", "vars": 2, "constraints": [[1.5, 2, "PP"]]},
+    {"calculus": "RCC5", "vars": 2, "constraints": [[1, 2, "FOO"]]},
+    {"calculus": "RCC5", "vars": 2, "constraints": [[1, 2]]},
+    ["calculus", "RCC5"],
+])
+def test_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(RccError):
+        from_json(doc)
+
+
+def test_vars_is_capped_before_allocation():
+    for count in (0, MAX_VARS + 1, 99999999, "9" * 5000):
+        with pytest.raises(NetworkFormatError):
+            loads(f"calculus RCC5\nvars {count}\n")
+    with pytest.raises(NetworkFormatError):
+        loads("calculus RCC5\nvars 3\nvars 2\n")
+    with pytest.raises(NetworkFormatError):
+        loads("calculus RCC5\nvars 3\ncalculus RCC8\n")
+    assert loads("calculus RCC5\nvars 3\n").n == 3
+
+
+_LINES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["calculus RCC5", "calculus RCC8", "calculus IA",
+                     "vars 3", "vars 0", "vars x", "labels a b c",
+                     "labels a a", "# note"]),
+    st.builds("{} {} {}".format, st.integers(-1, 4), st.integers(-1, 4),
+              st.sampled_from(["PP", "PPi", "EQ", "DC|EC", "*", "0", "FOO",
+                               "PP|", "TPP"])))
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(-3, 5)
+    | st.text(max_size=6) | st.sampled_from(["RCC5", "RCC8", "PP", "*"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=16)
+
+_NETWORK_DOC = st.dictionaries(
+    st.sampled_from(["calculus", "vars", "labels", "constraints", "schema"]),
+    _JSON, max_size=5)
+
+_REGION_DOC = st.fixed_dictionaries({"regions": st.lists(
+    st.fixed_dictionaries({"id": _JSON, "ring": st.lists(
+        st.lists(st.one_of(st.integers(-3, 3), st.floats(-3, 3)),
+                 max_size=3) | _JSON, max_size=5) | _JSON}),
+    max_size=3)}) | _JSON
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_LINES, max_size=8).map("\n".join))
+def test_loads_raises_only_rcc_errors(text):
+    try:
+        loads(text).validate()
+    except RccError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(_NETWORK_DOC | _JSON)
+def test_from_json_raises_only_rcc_errors(doc):
+    try:
+        from_json(doc).validate()
+    except RccError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(_REGION_DOC.map(json.dumps) | st.text(max_size=40))
+def test_regions_from_json_raises_only_rcc_errors(text):
+    try:
+        regions_from_json(text)
+    except RccError:
+        pass
 
 
 def test_refines():

@@ -29,6 +29,7 @@ from rcckit.reasoning import (
     is_consistent,
     solve,
 )
+from rcckit.redundancy import detect_distributive, equivalent, weaken_scenario
 
 
 def test_aclosure_restores_removed_edge(example1):
@@ -107,13 +108,24 @@ def _closure_inputs(n, seed, rcc5):
     return weak, flipped, noise
 
 
+@pytest.mark.parametrize("n,i,j", [(2, 0, 1), (3, 0, 1), (3, 2, 1)])
+def test_empty_input_entry_is_its_own_witness(n, i, j):
+    net = Network(RCC5, n)
+    net.set_mask(i, j, 0)
+    res = a_closure(net)
+    assert not res.consistent
+    assert res.witness == (min(i, j), min(i, j), max(i, j))
+    assert solve(net) is None
+
+
 def test_close_matches_the_queue_reference():
     verdicts = set()
     for rcc5, n in itertools.product(
             (True, False), (3, 4, 5, 6, 8, 11, 17, 30, 41, 49, 80, 200)):
         for net in _closure_inputs(n, 300 + n, rcc5):
             ref = net.matrix.astype(int).tolist()
-            ref_witness = _pca_lists(net.calculus, ref, n)
+            ref_witness = _pca_lists(net.calculus, ref,
+                                     list(net.constraint_pairs()))
             m = net.matrix.copy()
             witness, updates = _close(net.calculus, m)
             assert (witness is None) == (ref_witness is None), n
@@ -360,3 +372,136 @@ def test_cycle_lemma_on_all_different_networks(rcc5):
                     for t in range(len(nodes) - 1)]
             got = ct_path(rels)
             assert calc.overlap_core & ~got.mask == 0
+
+
+# The oracle as it was before the probes shared one closed list matrix:
+# every probe copies the network, pins one entry and decides the copy
+# from scratch with is_consistent or solve.
+
+
+def _ref_entails(net, i, j, r, guard):
+    calc = net.calculus
+    rest = calc.universal & ~r.mask
+    for b in range(calc.size):
+        basic = 1 << b
+        if rest & basic and net.mask(i, j) & basic:
+            probe = net.copy()
+            probe.set_mask(i, j, basic)
+            if is_consistent(probe, guard=guard):
+                return False
+    return True
+
+
+def _ref_check_minimal(net, guard):
+    if not a_closure(net).consistent:
+        raise InconsistentNetworkError("minimality is about consistent networks")
+    for i in range(net.n):
+        for j in range(i + 1, net.n):
+            for b in range(net.calculus.size):
+                if net.mask(i, j) >> b & 1:
+                    pinned = net.copy()
+                    pinned.set_mask(i, j, 1 << b)
+                    if solve(pinned, guard=guard) is None:
+                        return False
+    return True
+
+
+def _ref_check_weak_global(net, guard):
+    if net.n > guard:
+        raise GuardExceededError("above the guard")
+    for size in range(2, net.n):
+        for subset in itertools.combinations(range(net.n), size):
+            for scenario in enumerate_scenarios(restrict(net, subset),
+                                                guard=guard):
+                extended = net.copy()
+                for (a, i), (b, j) in itertools.combinations(
+                        enumerate(subset), 2):
+                    extended.set_mask(i, j, scenario.mask(a, b))
+                if solve(extended, guard=guard) is None:
+                    return False
+    return True
+
+
+def _ref_equivalent(a, b, guard):
+    if detect_distributive(a) is not None and detect_distributive(b) is not None:
+        ra, rb = a_closure(a), a_closure(b)
+        if not ra.consistent or not rb.consistent:
+            return ra.consistent == rb.consistent
+        return bool(np.array_equal(ra.network.matrix, rb.network.matrix))
+    meet = a.matrix & b.matrix
+    for net in (a, b):
+        extra = net.matrix & ~meet
+        for i in range(net.n):
+            for j in range(i + 1, net.n):
+                for bit in range(net.calculus.size):
+                    if int(extra[i, j]) >> bit & 1:
+                        probe = net.copy()
+                        probe.set_mask(i, j, 1 << bit)
+                        if solve(probe, guard=guard) is not None:
+                            return False
+    return True
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except (GuardExceededError, InconsistentNetworkError) as e:
+        return type(e)
+
+
+def _oracle_inputs(n, seed, rcc5):
+    """A weakened scenario over a distributive subalgebra (tractable and
+    consistent) and its closure (also minimal), plus the three networks
+    of _closure_inputs."""
+    sc = gen.random_scenario(n, seed, rcc5=rcc5)
+    sub = d5_20() if rcc5 else d8_41()
+    weak = weaken_scenario(sc, sub, random.Random(seed))
+    return (weak, a_closure(weak).network, *_closure_inputs(n, seed, rcc5))
+
+
+def test_oracle_matches_the_per_probe_reference():
+    rng = random.Random(5)
+    kinds = set()
+    for rcc5, n in itertools.product((True, False), range(3, 8)):
+        for net in _oracle_inputs(n, 800 + n, rcc5):
+            calc = net.calculus
+            kinds.add((detect_tractable(net) is not None,
+                       is_consistent(net)))
+            # with the guard at n the oracle may search; below n it must
+            # raise exactly where the reference raises
+            for guard in (n, n - 1):
+                for i, j in itertools.combinations(range(n), 2):
+                    r = Relation(calc, rng.randrange(calc.universal + 1))
+                    for probe, rel in ((net, r), (remove_constraint(net, i, j),
+                                                  net.entry(i, j))):
+                        assert (_outcome(entails, probe, i, j, rel, guard)
+                                == _outcome(_ref_entails, probe, i, j, rel,
+                                            guard)), (n, i, j)
+                    other = remove_constraint(net, i, j)
+                    assert (_outcome(equivalent, net, other, guard)
+                            == _outcome(_ref_equivalent, net, other, guard))
+                assert (_outcome(check_minimal, net, guard)
+                        == _outcome(_ref_check_minimal, net, guard)), n
+                # on a closed 7-variable network check_weak_global extends
+                # every scenario of every restriction: minutes, not seconds
+                if n <= 6:
+                    assert (_outcome(check_weak_global, net, guard)
+                            == _outcome(_ref_check_weak_global, net, guard))
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}
+
+
+def test_oracle_guard_applies_only_to_searches():
+    hard = gen.intractable_network(13, 1041)
+    i, j = next(p for p in hard.constraint_pairs()
+                if hard.mask(*p).bit_count() > 1)
+    narrower = Relation(RCC8, hard.mask(i, j) & (hard.mask(i, j) - 1))
+    with pytest.raises(GuardExceededError):
+        entails(hard, i, j, narrower)
+    assert equivalent(hard, hard.copy())
+    easy = weaken_scenario(gen.random_scenario(13, 1041), d8_41(),
+                           random.Random(1041))
+    for i, j in easy.constraint_pairs():
+        mask = easy.mask(i, j)
+        rel = Relation(RCC8, mask & (mask - 1))
+        assert entails(easy, i, j, rel) == _ref_entails(easy, i, j, rel, 12)

@@ -16,7 +16,7 @@ from rcckit.errors import (
     NotAllDifferentError,
 )
 from rcckit.network import remove_constraint
-from rcckit.reasoning import a_closure, detect_tractable
+from rcckit.reasoning import a_closure
 from rcckit.redundancy import (
     core,
     core_algorithm1,
@@ -160,25 +160,8 @@ def test_equivalent_distributive_inconsistent_cases():
     assert equivalent(a, a)
 
 
-def _intractable(n, seed):
-    """An RCC8 scenario with up to two random basics added to each entry,
-    redrawn until no built-in tractable subalgebra holds it."""
-    rng = random.Random(seed)
-    sc = gen.random_scenario(n, seed)
-    while True:
-        net = sc.copy()
-        for i in range(n):
-            for j in range(i + 1, n):
-                mask = net.mask(i, j)
-                for _ in range(rng.randint(0, 2)):
-                    mask |= 1 << rng.randrange(RCC8.size)
-                net.set_mask(i, j, mask)
-        if detect_tractable(net) is None:
-            return net
-
-
 def test_equivalent_outside_every_tractable_class():
-    net = _intractable(12, 1041)
+    net = gen.intractable_network(12, 1041)
     start = time.perf_counter()
     assert equivalent(net, net.copy())
     assert time.perf_counter() - start < 1.0

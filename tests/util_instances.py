@@ -8,11 +8,11 @@ a few random extras.  Consistency survives weakening by construction.
 
 import random
 
-from rcckit import RCC5
+from rcckit import RCC5, RCC8
 from rcckit.algebra import Subalgebra
 from rcckit.geometry import generate_regions, scenario_from_regions
 from rcckit.network import Network, to_rcc5
-from rcckit.reasoning import a_closure, all_different
+from rcckit.reasoning import a_closure, all_different, detect_tractable
 from rcckit.redundancy import weaken_scenario
 
 _PROFILES = ("nested", "mixed", "scattered")
@@ -54,3 +54,20 @@ def path_consistent_instances(sub: Subalgebra, count: int, seed: int,
         res = a_closure(net)
         assert res.consistent
         yield res.network
+
+
+def intractable_network(n: int, seed: int) -> Network:
+    """An RCC8 scenario with up to two random basics added to each entry,
+    redrawn until no built-in tractable subalgebra holds it."""
+    rng = random.Random(seed)
+    sc = random_scenario(n, seed)
+    while True:
+        net = sc.copy()
+        for i in range(n):
+            for j in range(i + 1, n):
+                mask = net.mask(i, j)
+                for _ in range(rng.randint(0, 2)):
+                    mask |= 1 << rng.randrange(RCC8.size)
+                net.set_mask(i, j, mask)
+        if detect_tractable(net) is None:
+            return net
