@@ -205,9 +205,6 @@ class Calculus:
     def converse_mask(self, r: int) -> int:
         return self._conv_list[r]
 
-    def basic_masks(self) -> list[int]:
-        return [1 << i for i in range(self.size)]
-
     def member_names(self, mask: int) -> tuple[str, ...]:
         return tuple(n for i, n in enumerate(self.basic_names)
                      if mask >> i & 1)

@@ -312,13 +312,11 @@ def rcc8_relation(a: Region, b: Region) -> Relation:
     return Relation(RCC8, RCC8.parse(name))
 
 
-def scenario_from_regions(regions: Sequence[Region],
-                          verify_prefilter: bool = False) -> Network:
+def scenario_from_regions(regions: Sequence[Region]) -> Network:
     """Complete basic RCC8 network of a region list.
 
     Pairs with disjoint bounding boxes are set to DC without running the
-    exact predicates; ``verify_prefilter`` re-runs them and asserts
-    agreement (used by the test suite).
+    exact predicates.
     """
     if len(regions) < 2:
         raise GeometryError("a scenario needs at least two regions")
@@ -330,11 +328,6 @@ def scenario_from_regions(regions: Sequence[Region],
     for i in range(len(regions)):
         for j in range(i + 1, len(regions)):
             if regions[i].bbox.disjoint(regions[j].bbox):
-                if verify_prefilter:
-                    exact = rcc8_relation(regions[i], regions[j]).mask
-                    if exact != dc:
-                        raise GeometryError(
-                            f"prefilter unsound for {ids[i]}, {ids[j]}")
                 net.set_mask(i, j, dc)
             else:
                 net.set_mask(i, j, rcc8_relation(regions[i], regions[j]).mask)

@@ -106,6 +106,8 @@ class Network:
                 return self.labels.index(var)
             except ValueError:
                 raise NetworkShapeError(f"unknown variable {var!r}")
+        if isinstance(var, bool) or not isinstance(var, (int, np.integer)):
+            raise NetworkShapeError(f"variable index {var!r} is not an integer")
         i = int(var)
         if not 0 <= i < self.n:
             raise NetworkShapeError(
@@ -227,23 +229,7 @@ def loads(text: str) -> Network:
             if mask != calc.identity:
                 raise NetworkFormatError("diagonal must be EQ", lineno)
             continue
-        key = (i - 1, j - 1)
-        if key in given:
-            prev_mask, prev_line = given[key]
-            if prev_mask != mask:
-                raise ConverseConflictError(
-                    f"pair ({i},{j}) already given on line {prev_line} "
-                    f"with a different relation", lineno)
-            continue
-        rev = (j - 1, i - 1)
-        if rev in given:
-            prev_mask, prev_line = given[rev]
-            if prev_mask != calc.converse_mask(mask):
-                raise ConverseConflictError(
-                    f"({j},{i}) on line {prev_line} conflicts with "
-                    f"({i},{j}) here", lineno)
-            continue
-        given[key] = (mask, lineno)
+        _record(given, calc, i - 1, j - 1, mask, lineno, "line", lineno)
     if calc is None:
         raise NetworkFormatError("missing 'calculus' line")
     if n is None:
@@ -253,6 +239,25 @@ def loads(text: str) -> Network:
         net.set_mask(i, j, mask)
     net.validate()
     return net
+
+
+def _record(given: dict, calc: Calculus, i: int, j: int, mask: int,
+            place: int, kind: str, line: int = None) -> None:
+    """Keep the 0-based constraint (i, j, mask), given at ``kind place``
+    (say, line 4).  A pair given before must agree with it, directly or
+    as its converse."""
+    if (i, j) in given:
+        key, same = (i, j), mask
+    elif (j, i) in given:
+        key, same = (j, i), calc.converse_mask(mask)
+    else:
+        given[(i, j)] = (mask, place)
+        return
+    prev, prev_place = given[key]
+    if prev != same:
+        raise ConverseConflictError(
+            f"({i + 1},{j + 1}) conflicts with ({key[0] + 1},{key[1] + 1}) "
+            f"from {kind} {prev_place}", line)
 
 
 def load(path) -> Network:
@@ -301,18 +306,22 @@ def _var_count(value, lineno=None) -> int:
 
 def from_json(doc: dict) -> Network:
     """Inverse of :func:`to_json`; a malformed document raises an
-    ``RccError``."""
+    ``RccError``, and so do constraints that disagree on a pair, as in
+    :func:`loads`."""
     try:
         calc = get_calculus(doc["calculus"])
         labels = doc.get("labels")
         if labels is not None and not all(isinstance(x, str) for x in labels):
             raise TypeError(f"labels {labels!r}")
         net = Network(calc, _var_count(doc["vars"]), labels)
-        for i, j, rel in doc.get("constraints", []):
+        given: dict[tuple[int, int], tuple[int, int]] = {}
+        for number, (i, j, rel) in enumerate(doc.get("constraints", []), 1):
             if type(i) is not int or type(j) is not int:
                 raise TypeError(f"variable numbers {i!r}, {j!r}")
-            net.set_mask(net.index_of(i - 1), net.index_of(j - 1),
-                         calc.parse(rel))
+            _record(given, calc, net.index_of(i - 1), net.index_of(j - 1),
+                    calc.parse(rel), number, "constraint")
+        for (i, j), (mask, _) in given.items():
+            net.set_mask(i, j, mask)
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise NetworkFormatError(f"bad network document: {e!r}") from None
     net.validate()
@@ -423,11 +432,6 @@ def amalgamate(net: Network, eq_classes: Iterable[Iterable]) -> Network:
                     "amalgamation produced an empty relation")
             out.set_mask(a, b, mask)
     check = a_closure(out)
-    if check.consistent:
-        star = out.calculus.universal
-        for i in range(out.n):
-            for j in range(i + 1, out.n):
-                if check.network.mask(i, j) == eq:
-                    raise NetworkShapeError(
-                        "classes do not cover all entailed equalities")
+    if check.consistent and np.triu(check.network.matrix == eq, k=1).any():
+        raise NetworkShapeError("classes do not cover all entailed equalities")
     return out

@@ -5,6 +5,9 @@ rule R_ij <- (R_ik . R_kj) & R_ij.  :func:`a_closure` reaches it with one
 engine for every size: sweeps over blocks of rows that apply the rule for
 all k at once, repeated until a sweep changes nothing.  For networks over
 a tractable subclass (and for basic networks) it decides consistency.
+The per-block meet AND_k R_ik . R_kj is one kernel, ``_meets``; Algorithm 1
+(:func:`rcckit.redundancy.core_algorithm1`) runs one more pass of it over
+the closed matrix to compute every Q_ij.
 
 The backtracking oracle asks one question, through one probe, ``_narrow``:
 does the network keep a solution once some entries are narrowed?  The
@@ -124,43 +127,52 @@ def _pca_lists(calc, m: list[list[int]],
     return None
 
 
+def _meets(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Lazily, per block of rows: the block's slice and, for its rows i,
+    AND_k comp[m[i, k], m[k, :]].  Each block reads m when it is computed,
+    so a caller may write a block back before the next one is computed.
+    A block gathers at most ``_BLOCK_CELLS`` entries, or one row."""
+    # comp_table[r, s] sits at (r << size) | s of the flattened table;
+    # one flat gather is several times faster than a two-index gather
+    comp = calc.comp_table.ravel()
+    n = m.shape[0]
+    height = max(1, _BLOCK_CELLS // (n * n))
+    for lo in range(0, n, height):
+        block = slice(lo, lo + height)
+        pairs = (m[block, :, None].astype(np.intp) << calc.size) | m
+        yield block, np.bitwise_and.reduce(comp[pairs], axis=1)
+
+
 def _close(calc, m: np.ndarray) -> tuple[Optional[tuple[int, int, int]], int]:
     """Enforce path consistency on a uint16 mask matrix in place.
 
-    Sweeps the rows in blocks, replacing each block by
-    AND_k comp[m[i, k], m[k, :]] and mirroring its converse into the
-    matching columns, until a sweep changes nothing.  The k = i term is
-    row i itself (the diagonal is EQ), so entries only shrink and the
-    sweeps terminate.  Returns (witness, updates) as
-    described in :class:`AClosureResult`; witness is None on success.
+    Sweeps the rows in blocks, replacing each block by its meets
+    (:func:`_meets`) and mirroring its converse into the matching columns,
+    until a sweep changes nothing.  The k = i term is row i itself (the
+    diagonal is EQ), so entries only shrink and the sweeps terminate.
+    Returns (witness, updates) as described in :class:`AClosureResult`;
+    witness is None on success.
     """
     if not m.all():
         i, j = np.argwhere(m == 0)[0].tolist()
         return (i, i, j), 0
-    # comp_table[r, s] sits at (r << size) | s of the flattened table;
-    # one flat gather is several times faster than a two-index gather
-    comp = calc.comp_table.ravel()
     conv = calc.conv_table
-    n = m.shape[0]
-    height = max(1, _BLOCK_CELLS // (n * n))
     updates = 0
     changed = True
     while changed:
         changed = False
-        for lo in range(0, n, height):
-            rows = m[lo:lo + height]
-            pairs = (rows[:, :, None].astype(np.intp) << calc.size) | m
-            new = np.bitwise_and.reduce(comp[pairs], axis=1)
+        for block, new in _meets(calc, m):
+            rows = m[block]
             diff = int(np.count_nonzero(new != rows))
             if not diff:
                 continue
             if not new.all():
                 r, j = np.argwhere(new == 0)[0].tolist()
-                return _witness(calc, m, lo + r, j), updates
+                return _witness(calc, m, block.start + r, j), updates
             updates += diff
             changed = True
             rows[:] = new
-            m[:, lo:lo + height] = conv[new].T
+            m[:, block] = conv[new].T
     return None, updates
 
 

@@ -5,7 +5,11 @@ core is the set of non-redundant constraints.  Over a distributive
 subalgebra an all-different network has a unique prime subnetwork, equal
 to its core, and it is computed in cubic time by :func:`core_algorithm1`:
 take the a-closure once, then an entry (i, j) is redundant exactly when
-the intersection of S_ik . S_kj over all other k reproduces S_ij.
+the intersection Q_ij of S_ik . S_kj over all other k reproduces S_ij.
+Every Q_ij comes from one more pass of the a-closure's own meet kernel
+(``reasoning._meets``) over the closed matrix with its diagonal set to
+universal: * . r = r . * = * for every nonempty r, so the k = i and
+k = j terms drop out of the meet.
 
 :func:`prime_iterative` is the general fold that removes redundant
 constraints one at a time in a caller-chosen order; on distributive
@@ -32,6 +36,7 @@ from .network import Network, remove_constraint
 from .reasoning import (
     DEFAULT_GUARD,
     _basic_pins,
+    _meets,
     _outside,
     _require_members,
     _solvable,
@@ -58,6 +63,10 @@ class RedundancyReport:
     Pairs are 0-based with i < j.  ``trivially_redundant`` holds the
     universal-constraint pairs and is always a subset of ``redundant``.
     ``network`` is the input with every redundant constraint removed.
+    ``checks`` counts the work done: for ``sweep``, the non-universal
+    constraints tested; for ``algorithm1``, the compositions S_ik . S_kj
+    its Q test meets, one per pair i < j and other k, n(n-1)(n-2)/2 in
+    all (there is no early exit).
     """
 
     redundant: set = field(default_factory=set)
@@ -179,52 +188,32 @@ def core_algorithm1(net: Network,
     if not res.consistent:
         raise InconsistentNetworkError(
             "the cubic redundancy algorithm needs a consistent network")
-    eq = net.calculus.identity
+    calc = net.calculus
     n = net.n
-    iu, ju = np.nonzero(np.triu(res.network.matrix == eq, k=1))
-    if iu.size:
-        offenders = list(zip(iu.tolist(), ju.tolist()))
+    closed = res.network.matrix
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    equal = _pairs(upper & (closed == calc.identity))
+    if equal:
         raise NotAllDifferentError(
-            f"entailed equalities at {offenders}; amalgamate them first")
-
-    star = net.calculus.universal
-    report = RedundancyReport(method="algorithm1")
-    redundant, checks = _q_scan_lists(net.calculus, res.network.matrix, n)
-    report.checks = checks
-    out = net.copy()
-    for i, j in redundant:
-        report.redundant.add((i, j))
-        out.set_mask(i, j, star)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if net.mask(i, j) == star:
-                report.trivially_redundant.add((i, j))
-                report.redundant.add((i, j))
-    report.network = out
-    return report
-
-
-def _q_scan_lists(calc, closed_matrix, n):
-    """Per-pair Q accumulation, ascending k, early exit on Q == S_ij."""
-    closed = closed_matrix.astype(int).tolist()
-    comp = calc._comp_list
+            f"entailed equalities at {sorted(equal)}; amalgamate them first")
+    # with a universal diagonal the k = i and k = j terms are * and drop out
     star = calc.universal
-    redundant = []
-    checks = 0
-    for i in range(n):
-        row_i = closed[i]
-        for j in range(i + 1, n):
-            target = row_i[j]
-            q = star
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                checks += 1
-                q &= comp[row_i[k]][closed[k][j]]
-                if q == target:
-                    redundant.append((i, j))
-                    break
-    return redundant, checks
+    q = closed.copy()
+    np.fill_diagonal(q, star)
+    q = np.concatenate([block for _, block in _meets(calc, q)])
+    trivial = upper & (net.matrix == star)
+    redundant = (upper & (q == closed)) | trivial
+    out = net.copy()
+    out.matrix[redundant | redundant.T] = star
+    return RedundancyReport(redundant=_pairs(redundant),
+                            trivially_redundant=_pairs(trivial),
+                            method="algorithm1",
+                            checks=n * (n - 1) * (n - 2) // 2, network=out)
+
+
+def _pairs(mask: np.ndarray) -> set:
+    """The (i, j) positions of a boolean matrix's true entries."""
+    return set(zip(*(ix.tolist() for ix in np.nonzero(mask))))
 
 
 def equivalent(a: Network, b: Network, guard: int = DEFAULT_GUARD) -> bool:

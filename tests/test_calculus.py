@@ -154,6 +154,9 @@ def test_compose_distributes_over_union(calc):
 
 @pytest.mark.parametrize("calc", [RCC5, RCC8])
 def test_universal_absorbs_nonempty(calc):
+    """* . r = r . * = * for every nonempty r.  Algorithm 1's Q pass relies
+    on it to drop the k = i and k = j terms, and so does the argument that
+    Simple and SimpleExt agree."""
     star = calc.universal
     for mask in range(1, star + 1):
         assert calc.compose_masks(star, mask) == star

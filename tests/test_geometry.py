@@ -138,7 +138,14 @@ def test_bounding_box_prefilter_soundness():
     touching = BoundingBox.of_ring([(2, 0), (4, 2)])
     assert not a.disjoint(touching)  # touching boxes may hide EC
     regs = generate_regions(25, 5, "scattered")
-    scenario_from_regions(regs, verify_prefilter=True)  # asserts agreement
+    net = scenario_from_regions(regs)
+    dc = RCC8.parse("DC")
+    n = len(regs)
+    disjoint = [(i, j) for i in range(n) for j in range(i + 1, n)
+                if regs[i].bbox.disjoint(regs[j].bbox)]
+    assert disjoint
+    for i, j in disjoint:
+        assert rcc8_relation(regs[i], regs[j]).mask == dc == net.mask(i, j)
 
 
 def test_scenario_from_regions_validations():

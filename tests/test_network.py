@@ -105,6 +105,28 @@ def test_converse_conflict_detection():
         loads("calculus RCC5\nvars 2\n1 2 PP\n1 2 PO\n")
 
 
+def test_from_json_converse_conflicts():
+    def doc(*constraints):
+        return {"calculus": "RCC5", "vars": 2,
+                "constraints": [list(c) for c in constraints]}
+
+    for bad in ([(1, 2, "PP"), (1, 2, "DR")], [(1, 2, "PP"), (2, 1, "DR")],
+                [(1, 2, "PP"), (2, 1, "PP")]):
+        with pytest.raises(ConverseConflictError):
+            from_json(doc(*bad))
+    for same in ([(1, 2, "PP"), (1, 2, "PP")], [(1, 2, "PP"), (2, 1, "PPi")]):
+        assert str(from_json(doc(*same))[0, 1]) == "PP"
+
+
+def test_index_of_rejects_non_integers():
+    net = Network(RCC5, 3, ["a", "b", "c"])
+    for bad in (1.7, 1.0, True, False, np.bool_(True), np.float64(1), None):
+        with pytest.raises(NetworkShapeError):
+            net.index_of(bad)
+    assert net.index_of(1) == net.index_of(np.int64(1)) == 1
+    assert net.index_of(np.uint16(2)) == net.index_of("c") == 2
+
+
 def test_save_is_sorted_and_stable(example1):
     text = save(example1)
     lines = [l for l in text.splitlines() if l[0].isdigit()]

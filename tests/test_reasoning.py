@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util_instances as gen
 from rcckit import RCC5, RCC8, Network, Relation, ct_path
@@ -15,7 +17,7 @@ from rcckit.errors import (
     MembershipError,
     NetworkShapeError,
 )
-from rcckit.network import remove_constraint, restrict
+from rcckit.network import refines, remove_constraint, restrict
 from rcckit.reasoning import (
     _close,
     _pca_lists,
@@ -137,6 +139,56 @@ def test_close_matches_the_queue_reference():
             else:
                 assert len(set(witness)) == 3, (n, witness)
     assert verdicts == {True, False}
+
+
+@st.composite
+def _networks(draw):
+    """A 3-12-variable RCC5 or RCC8 network whose entries are universal,
+    basic or any nonempty relation; half of them contain every basic of a
+    random scenario, so large consistent networks occur too."""
+    rcc5 = draw(st.booleans())
+    n = draw(st.integers(3, 12))
+    scenario = draw(st.booleans())
+    if scenario:
+        net = gen.random_scenario(n, draw(st.integers(0, 999)), rcc5=rcc5)
+    else:
+        net = Network(RCC5 if rcc5 else RCC8, n)
+    star = net.calculus.universal
+    entry = (st.just(star) | st.integers(1, star)
+             | st.sampled_from([1 << b for b in range(net.calculus.size)]))
+    for i, j in itertools.combinations(range(n), 2):
+        net.set_mask(i, j, draw(entry) | (net.mask(i, j) if scenario else 0))
+    return net
+
+
+@settings(max_examples=100, deadline=None)
+@given(_networks())
+def test_a_closure_refines_its_input(net):
+    res = a_closure(net)
+    if res.consistent:
+        assert refines(res.network, net)
+        res.network.validate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_networks())
+def test_a_closure_is_idempotent(net):
+    res = a_closure(net)
+    if res.consistent:
+        again = a_closure(res.network)
+        assert again.consistent and again.updates == 0
+        assert again.network == res.network
+
+
+@settings(max_examples=100, deadline=None)
+@given(_networks())
+def test_a_closure_matches_the_queue_propagator(net):
+    ref = net.matrix.astype(int).tolist()
+    witness = _pca_lists(net.calculus, ref, list(net.constraint_pairs()))
+    res = a_closure(net)
+    assert res.consistent == (witness is None)
+    if res.consistent:
+        assert res.network.matrix.tolist() == ref
 
 
 def test_is_consistent_examples(example1, bad_triangle):

@@ -178,23 +178,40 @@ def test_equivalent_outside_every_tractable_class():
 
 @pytest.mark.parametrize("rcc5,sub", [(True, d5_20()), (False, d8_41())],
                          ids=["D5_20", "D8_41"])
-def test_core_algorithm1_matches_the_full_q_intersection(rcc5, sub):
-    net = weaken_scenario(gen.random_scenario(60, 61, rcc5=rcc5), sub,
-                          random.Random(61))
-    rep = core_algorithm1(net, sub)
-    calc = net.calculus
-    s = a_closure(net).network.matrix.astype(int).tolist()
-    expected = set()
-    for i in range(net.n):
-        for j in range(i + 1, net.n):
-            q = calc.universal
-            for k in range(net.n):
-                if k != i and k != j:
-                    q &= calc.compose_masks(s[i][k], s[k][j])
-            if q == s[i][j] or net.mask(i, j) == calc.universal:
-                expected.add((i, j))
-    assert rep.nontrivial
-    assert rep.redundant == expected
+def test_core_algorithm1_matches_the_full_q_intersection(rcc5, sub, example1):
+    sizes = [(n, seed) for n in (3, 4) for seed in range(61, 71)]
+    cases = [(weaken_scenario(gen.random_scenario(n, seed, rcc5=rcc5), sub,
+                              random.Random(seed)), sub)
+             for n, seed in sizes + [(19, 61), (60, 61)]]
+    if rcc5:
+        cases.append((example1, h5()))  # an explicit tractable override
+    found = set()
+    for net, given in cases:
+        rep = core_algorithm1(net, given)
+        calc = net.calculus
+        star = calc.universal
+        s = a_closure(net).network.matrix.astype(int).tolist()
+        expected = set()
+        for i in range(net.n):
+            for j in range(i + 1, net.n):
+                q = star
+                for k in range(net.n):
+                    if k != i and k != j:
+                        q &= calc.compose_masks(s[i][k], s[k][j])
+                if q == s[i][j] or net.mask(i, j) == star:
+                    expected.add((i, j))
+        assert rep.redundant == expected, net.n
+        assert rep.trivially_redundant == {
+            (i, j) for i in range(net.n) for j in range(i + 1, net.n)
+            if net.mask(i, j) == star}
+        pruned = net.copy()
+        for i, j in expected:
+            pruned.set_mask(i, j, star)
+        assert rep.network == pruned
+        assert rep.checks == net.n * (net.n - 1) * (net.n - 2) // 2
+        if rep.nontrivial:
+            found.add(net.n)
+    assert found >= {3, 4, 19, 60}
 
 
 @pytest.mark.parametrize("sub", ALL_SUBS, ids=lambda s: s.name)
