@@ -318,15 +318,19 @@ def builtin_subalgebras(calc: Calculus) -> list[Subalgebra]:
     return [bhat(RCC8), d8_41(), d8_64()]
 
 
+_BY_NAME = {
+    "BHAT5": lambda: bhat(RCC5), "BHAT8": lambda: bhat(RCC8),
+    "D5_14": d5_14, "D5_20": d5_20,
+    "D8_41": d8_41, "D8_64": d8_64,
+    "H5": h5,
+}
+
+
 def by_name(name: str) -> Subalgebra:
-    table = {
-        "BHAT5": bhat(RCC5), "BHAT8": bhat(RCC8),
-        "D5_14": d5_14(), "D5_20": d5_20(),
-        "D8_41": d8_41(), "D8_64": d8_64(),
-        "H5": h5(),
-    }
+    """The named built-in subalgebra; only that one is derived."""
     try:
-        return table[name.upper()]
+        make = _BY_NAME[name.upper()]
     except KeyError:
         raise UnknownNameError(f"unknown subalgebra {name!r}; expected one of "
-                               + ", ".join(sorted(table))) from None
+                               + ", ".join(sorted(_BY_NAME))) from None
+    return make()

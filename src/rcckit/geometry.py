@@ -1,8 +1,7 @@
 """Polygon regions and exact derivation of RCC8 scenarios.
 
 Regions are simple polygons with integer vertices (one counterclockwise
-exterior ring, no holes).  All predicates are exact: integer orientation
-tests plus rational arithmetic for split points, so the eight basic
+exterior ring, no holes).  All predicates are exact, so the eight basic
 relations are decided without tolerances and are JEPD by construction.
 
 The decision table for a pair of regions:
@@ -14,16 +13,24 @@ The decision table for a pair of regions:
     EC     interiors disjoint, boundaries touching
     DC     otherwise
 
-Containment and interior overlap are decided by classifying boundary
-sub-segments (each polygon's edges split at every crossing with the
-other's boundary) plus one guaranteed interior sample point per polygon.
-Axis-aligned rectangles take an interval-arithmetic fast path that agrees
-with the general predicates.
+A pair of convex regions is decided in integer arithmetic alone, by
+separating axes.  Each region keeps its edge normals, reduced and
+deduplicated, with its extent along each.  A strict gap along one of the
+two regions' normals means DC, a gap of zero width EC.  Otherwise the
+interiors overlap, and a convex region lies in the closed (or open) other
+one exactly when its extent along each of the other's normals does, which
+is vertex containment.
+
+Only a pair with a non-convex region takes the general predicates:
+boundary sub-segments (each polygon's edges split at every crossing with
+the other's boundary, at rational parameters) are classified, plus one
+guaranteed interior sample point per polygon.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import random
 from dataclasses import dataclass
@@ -144,6 +151,37 @@ def _interior_point(ring) -> tuple[Fraction, Fraction]:
     return (Fraction(xs[0] + xs[1], 2), y)
 
 
+def _turns(ring) -> int:
+    """Full turns of the edge direction around a ring that never turns
+    right: the times it passes from the lower half-plane of directions
+    into the upper one, [0, pi)."""
+    m = len(ring)
+    upper = []
+    for i in range(m):
+        dx = ring[(i + 1) % m][0] - ring[i][0]
+        dy = ring[(i + 1) % m][1] - ring[i][1]
+        upper.append(dy > 0 or (dy == 0 and dx > 0))
+    return sum(upper[i] and not upper[i - 1] for i in range(m))
+
+
+def _axis(p, q) -> tuple[int, int]:
+    """Normal of edge pq reduced by its gcd, signed so that x > 0 or
+    x == 0 < y: parallel edges share one axis."""
+    nx, ny = q[1] - p[1], p[0] - q[0]
+    g = math.gcd(nx, ny)
+    nx, ny = nx // g, ny // g
+    if nx < 0 or (nx == 0 and ny < 0):
+        nx, ny = -nx, -ny
+    return nx, ny
+
+
+def _extent(ring, axis) -> tuple[int, int]:
+    """Least and greatest projection of the ring's vertices onto axis."""
+    nx, ny = axis
+    proj = [nx * x + ny * y for x, y in ring]
+    return min(proj), max(proj)
+
+
 @dataclass(frozen=True)
 class BoundingBox:
     xmin: int
@@ -184,26 +222,30 @@ class Region:
             raise GeometryError(f"region {id!r}: zero area")
         if area2 < 0:
             ring.reverse()
-        self.ring = tuple(ring)
-        self._check_simple()
-        self.bbox = BoundingBox.of_ring(self.ring)
-        # axis-aligned rectangle detection for the fast path
-        self.rect = None
-        if len(self.ring) == 4:
-            xs = sorted({p[0] for p in self.ring})
-            ys = sorted({p[1] for p in self.ring})
-            if (len(xs) == 2 and len(ys) == 2
-                    and set(self.ring) == {(x, y) for x in xs for y in ys}):
-                self.rect = (xs[0], ys[0], xs[1], ys[1])
+        self.ring = ring = tuple(ring)
+        m = len(ring)
+        # counterclockwise, so convex iff simple and it never turns right;
+        # a ring that never turns right is simple iff it turns once around
+        self.convex = (all(_orient(ring[i - 1], ring[i], ring[(i + 1) % m]) >= 0
+                           for i in range(m))
+                       and _turns(ring) == 1)
+        if not self.convex:
+            self._check_crossings()
+        self._check_spikes()
+        self.bbox = BoundingBox.of_ring(ring)
+        # reduced edge normals, one per direction, for the convex predicate
+        self.axes: tuple[tuple[int, int], ...] = ()
+        if self.convex:
+            self.axes = tuple(dict.fromkeys(
+                _axis(ring[i], ring[(i + 1) % m]) for i in range(m)))
+        self._extents = None
         self._interior = None
 
-    def _check_simple(self) -> None:
+    def _check_crossings(self) -> None:
         ring = self.ring
         m = len(ring)
         for i in range(m):
             a, b = ring[i], ring[(i + 1) % m]
-            if a == b:
-                raise GeometryError(f"region {self.id!r}: zero-length edge")
             for j in range(i + 1, m):
                 c, d = ring[j], ring[(j + 1) % m]
                 adjacent = (j == i + 1) or (i == 0 and j == m - 1)
@@ -212,14 +254,24 @@ class Region:
                 if _segments_touch(a, b, c, d):
                     raise GeometryError(
                         f"region {self.id!r}: self-intersecting boundary")
-        for i in range(m):
-            prev, v, nxt = ring[i - 1], ring[i], ring[(i + 1) % m]
+
+    def _check_spikes(self) -> None:
+        ring = self.ring
+        for i in range(len(ring)):
+            prev, v, nxt = ring[i - 1], ring[i], ring[(i + 1) % len(ring)]
             if _orient(prev, v, nxt) == 0:
                 dx1, dy1 = prev[0] - v[0], prev[1] - v[1]
                 dx2, dy2 = nxt[0] - v[0], nxt[1] - v[1]
                 if dx1 * dx2 + dy1 * dy2 > 0:
                     raise GeometryError(
                         f"region {self.id!r}: boundary spike at {v}")
+
+    def extents(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """The ring's extent along each of its axes, computed once."""
+        if self._extents is None:
+            self._extents = {axis: _extent(self.ring, axis)
+                             for axis in self.axes}
+        return self._extents
 
     def interior_point(self):
         if self._interior is None:
@@ -252,24 +304,47 @@ def _boundary_probe(ring_a, ring_b):
     return some_in, some_out
 
 
-def _rect_relation(a, b) -> str:
-    ax1, ay1, ax2, ay2 = a
-    bx1, by1, bx2, by2 = b
-    if ax2 < bx1 or bx2 < ax1 or ay2 < by1 or by2 < ay1:
-        return "DC"
-    overlap = (max(ax1, bx1) < min(ax2, bx2)
-               and max(ay1, by1) < min(ay2, by2))
-    if not overlap:
-        return "EC"
-    a_in_b = ax1 >= bx1 and ax2 <= bx2 and ay1 >= by1 and ay2 <= by2
-    b_in_a = bx1 >= ax1 and bx2 <= ax2 and by1 >= ay1 and by2 <= ay2
+def _along(ext, other: Region, out: dict) -> str | None:
+    """Put other's extent along each axis of ext into ``out``.  "DC" at
+    the first strict gap; otherwise "EC" if some gap has zero width."""
+    own = other.extents()
+    gap = None
+    for axis, (lo, hi) in ext.items():
+        lo_o, hi_o = out[axis] = own.get(axis) or _extent(other.ring, axis)
+        if hi_o < lo or hi < lo_o:
+            return "DC"
+        if hi_o == lo or hi == lo_o:
+            gap = "EC"
+    return gap
+
+
+def _inside(on, ext) -> tuple[bool, bool]:
+    """Do the extents ``on`` lie in ext's closed, and in its open,
+    intervals along every axis?"""
+    closed = strict = True
+    for axis, (lo, hi) in ext.items():
+        lo_o, hi_o = on[axis]
+        closed = closed and lo <= lo_o and hi_o <= hi
+        strict = strict and lo < lo_o and hi_o < hi
+    return closed, strict
+
+
+def _convex_relation(a: Region, b: Region) -> str:
+    ext_a, ext_b = a.extents(), b.extents()
+    b_on_a, a_on_b = {}, {}
+    gap = _along(ext_a, b, b_on_a)
+    if gap != "DC":
+        gap = _along(ext_b, a, a_on_b) or gap
+    if gap:
+        return gap
+    a_in_b, a_strict = _inside(a_on_b, ext_b)
+    b_in_a, b_strict = _inside(b_on_a, ext_a)
     if a_in_b and b_in_a:
         return "EQ"
-    touch = (ax1 == bx1 or ax2 == bx2 or ay1 == by1 or ay2 == by2)
     if a_in_b:
-        return "TPP" if touch else "NTPP"
+        return "NTPP" if a_strict else "TPP"
     if b_in_a:
-        return "TPPi" if touch else "NTPPi"
+        return "NTPPi" if b_strict else "TPPi"
     return "PO"
 
 
@@ -305,8 +380,8 @@ def _general_relation(a: Region, b: Region) -> str:
 
 def rcc8_relation(a: Region, b: Region) -> Relation:
     """The unique RCC8 basic relation holding between two regions."""
-    if a.rect is not None and b.rect is not None:
-        name = _rect_relation(a.rect, b.rect)
+    if a.convex and b.convex:
+        name = _convex_relation(a, b)
     else:
         name = _general_relation(a, b)
     return Relation(RCC8, RCC8.parse(name))

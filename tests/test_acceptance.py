@@ -7,6 +7,7 @@ properties are exact set equalities (zero tolerance).
 
 import itertools
 import random
+import statistics
 import time
 
 import numpy as np
@@ -263,7 +264,8 @@ def test_criterion_7_geometry_round_trip():
 def test_criterion_8_desk_scale_scalability():
     """Algorithm 1 time grows no worse than cubically across n in
     {100, 200, 400} (log-log slope <= 3.3) and kept-edge counts fit a
-    linear model with R^2 >= 0.9."""
+    linear model with R^2 >= 0.9.  Each time is the median of 3 runs, so
+    one slow run does not move the slope."""
     sizes = [100, 200, 400]
     times = []
     kept = []
@@ -271,9 +273,12 @@ def test_criterion_8_desk_scale_scalability():
         rng = random.Random(n)
         scenario = scenario_from_regions(generate_regions(n, 7, "nested"))
         net = weaken_scenario(scenario, d8_41(), rng)
-        t0 = time.perf_counter()
-        rep = core_algorithm1(net)
-        times.append(time.perf_counter() - t0)
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            rep = core_algorithm1(net)
+            runs.append(time.perf_counter() - t0)
+        times.append(statistics.median(runs))
         kept.append(net.n * (net.n - 1) // 2 - len(rep.redundant))
     slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
     assert slope <= 3.3, (slope, times)

@@ -1,5 +1,10 @@
 """Subalgebra machinery against the known closure and maximal lists."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rcckit import RCC5, RCC8, Relation
@@ -191,8 +196,22 @@ def test_smallest_member():
 def test_by_name():
     assert by_name("d5_14") is d5_14()
     assert by_name("H5") is h5()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         by_name("D9_99")
+    assert str(err.value).endswith(
+        "expected one of BHAT5, BHAT8, D5_14, D5_20, D8_41, D8_64, H5")
+
+
+def test_by_name_derives_only_the_named_subalgebra():
+    # a fresh process, since this one may have derived them already
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("from rcckit import algebra\n"
+            "algebra.by_name('H5')\n"
+            "print(algebra._maximal.cache_info().currsize)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
 
 
 def test_canonical_member_order_is_by_mask():

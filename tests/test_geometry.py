@@ -1,11 +1,15 @@
 """Exact polygon predicates, the region generator, and reconstitution."""
 
 import json
+import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rcckit import RCC8
+from rcckit import RCC8, geometry
 from rcckit.errors import GeometryError, InconsistentNetworkError
 from rcckit.geometry import (
     BoundingBox,
@@ -16,6 +20,7 @@ from rcckit.geometry import (
     regions_from_json,
     regions_to_json,
     scenario_from_regions,
+    _convex_relation,
     _general_relation,
 )
 from rcckit.network import remove_constraint
@@ -88,7 +93,7 @@ def test_vertex_touching_cross_counts_as_po():
     assert str(rcc8_relation(a, b)) == "PO"
 
 
-def test_rect_fast_path_matches_general_predicates():
+def test_convex_predicate_matches_general_on_squares():
     rng = random.Random(2)
     for _ in range(300):
         x1, y1 = rng.randint(0, 8), rng.randint(0, 8)
@@ -98,6 +103,175 @@ def test_rect_fast_path_matches_general_predicates():
         fast = rcc8_relation(a, b)
         general = _general_relation(a, b)
         assert str(fast) == general
+
+
+def _hull(points):
+    """Counterclockwise convex hull without collinear vertices."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and geometry._orient(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+def _with_collinear(ring, picks):
+    """The ring with collinear vertices: edge i, whose lattice points
+    split it into g steps, gets a vertex after step picks[i] mod g
+    (none when that is 0)."""
+    out = []
+    for i, p in enumerate(ring):
+        out.append(p)
+        q = ring[(i + 1) % len(ring)]
+        g = math.gcd(q[0] - p[0], q[1] - p[1])
+        k = picks[i % len(picks)] % g if picks else 0
+        if k:
+            out.append((p[0] + (q[0] - p[0]) // g * k,
+                        p[1] + (q[1] - p[1]) // g * k))
+    return out
+
+
+_GRID = st.tuples(st.integers(0, 6), st.integers(0, 6))
+_PICKS = st.lists(st.integers(0, 3), max_size=6)
+
+
+@st.composite
+def _convex_rings(draw):
+    ring = _hull(draw(st.lists(_GRID, min_size=3, max_size=7, unique=True)))
+    assume(len(ring) >= 3)
+    return ring
+
+
+@st.composite
+def _convex_pairs(draw):
+    """Two convex regions on a small grid, with collinear vertices in
+    either ring.  The second is drawn freely, or is the first again (EQ,
+    maybe with other collinear vertices), a hull of some of the first's
+    vertices and grid points inside it (containment, often tangential),
+    the first shifted (shared edges, touching vertices, collinear
+    overlaps), or nested in it by scaling (NTPP or TPP).  Either may come
+    first."""
+    ra = draw(_convex_rings())
+    kind = draw(st.sampled_from(["free", "same", "inside", "shifted",
+                                 "scaled"]))
+    if kind == "free":
+        rb = draw(_convex_rings())
+    elif kind == "same":
+        rb = ra
+    elif kind == "inside":
+        keep = draw(st.lists(st.sampled_from(ra)))
+        inner = [p for p in draw(st.lists(_GRID, max_size=6))
+                 if all(geometry._orient(ra[i], ra[(i + 1) % len(ra)], p) >= 0
+                        for i in range(len(ra)))]
+        rb = _hull(keep + inner)
+        if len(rb) < 3:
+            rb = ra
+    elif kind == "shifted":
+        dx, dy = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+        rb = [(x + dx, y + dy) for x, y in ra]
+    else:
+        # K + 2g lies in 3K for each g in a convex K, strictly inside when
+        # g is: here K is the first scaled by 3, g one of K's vertices or
+        # the centroid of three of them
+        k = [(3 * x, 3 * y) for x, y in ra]
+        g = draw(st.sampled_from(k + [tuple(map(sum, zip(*ra[:3])))]))
+        rb = [(x + 2 * g[0], y + 2 * g[1]) for x, y in k]
+        ra = [(3 * x, 3 * y) for x, y in k]
+    a = Region("a", _with_collinear(ra, draw(_PICKS)))
+    b = Region("b", _with_collinear(rb, draw(_PICKS)))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_convex_pairs())
+def test_convex_predicate_matches_general_predicates(pair):
+    a, b = pair
+    assert a.convex and b.convex
+    assert _convex_relation(a, b) == _general_relation(a, b)
+
+
+def test_convex_predicate_uses_integers_only(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("Fraction used on a convex pair")
+
+    monkeypatch.setattr(geometry, "Fraction", no_fraction)
+    for name, a, b in FIXTURES:
+        assert str(rcc8_relation(a, b)) == name
+    regs = generate_regions(30, 3, "mixed")
+    assert all(r.convex for r in regs)
+    scenario_from_regions(regs)
+
+
+def test_convexity_and_axes():
+    rect = square("r", 0, 0, 4)
+    diamond = Region("d", [(2, 0), (4, 2), (2, 4), (0, 2)])
+    octagon = Region("o", [(1, 0), (3, 0), (4, 1), (4, 3), (3, 4), (1, 4),
+                           (0, 3), (0, 1)])
+    # collinear vertices add no axis
+    flat = Region("f", [(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)])
+    assert sorted(rect.axes) == [(0, 1), (1, 0)]
+    assert sorted(diamond.axes) == [(1, -1), (1, 1)]
+    assert len(octagon.axes) == 4
+    assert flat.convex and sorted(flat.axes) == [(0, 1), (1, 0)]
+    ell = Region("l", [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)])
+    assert not ell.convex and ell.axes == ()
+
+
+def test_star_ring_that_never_turns_right_is_rejected():
+    # a pentagram turns left at every vertex, but twice around
+    star = [(round(20 * math.cos(4 * math.pi * i / 5)),
+             round(20 * math.sin(4 * math.pi * i / 5))) for i in range(5)]
+    with pytest.raises(GeometryError):
+        Region("x", star)
+
+
+def _shape(kind, x, y, s):
+    """A region of the given kind in the box (x, y)..(x + 3s, y + 3s)."""
+    t = 3 * s
+    if kind == "rect":
+        ring = [(x, y), (x + t, y), (x + t, y + 2 * s), (x, y + 2 * s)]
+    elif kind == "diamond":
+        ring = [(x + s, y), (x + t, y + s), (x + s, y + 2 * s), (x - s, y + s)]
+    elif kind == "octagon":
+        ring = [(x + s, y), (x + 2 * s, y), (x + t, y + s), (x + t, y + 2 * s),
+                (x + 2 * s, y + t), (x + s, y + t), (x, y + 2 * s), (x, y + s)]
+    elif kind == "ell":
+        ring = [(x, y), (x + t, y), (x + t, y + s), (x + s, y + s),
+                (x + s, y + t), (x, y + t)]
+    else:  # a C-frame open to the right
+        ring = [(x, y), (x + t, y), (x + t, y + s), (x + s, y + s),
+                (x + s, y + 2 * s), (x + t, y + 2 * s), (x + t, y + t),
+                (x, y + t)]
+    return Region(kind, ring)
+
+
+_PLACED = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["rect", "diamond", "octagon", "hull"]),
+       st.sampled_from(["rect", "diamond", "octagon", "hull", "ell", "frame"]),
+       _PLACED, _PLACED, _convex_rings(), _convex_rings())
+def test_converse_symmetry_property(kind_a, kind_b, pa, pb, hull_a, hull_b):
+    a = Region("a", hull_a) if kind_a == "hull" else _shape(kind_a, *pa)
+    b = Region("b", hull_b) if kind_b == "hull" else _shape(kind_b, *pb)
+    assert b.convex == (kind_b not in ("ell", "frame"))
+    assert rcc8_relation(b, a) == rcc8_relation(a, b).converse()
+
+
+def test_src_does_not_import_the_benchmark():
+    src = Path(geometry.__file__).parent
+    for path in src.glob("*.py"):
+        text = path.read_text()
+        assert "perfbench" not in text and "import reference" not in text, \
+            path.name
 
 
 def test_degenerate_polygons_rejected():

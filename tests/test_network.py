@@ -224,6 +224,42 @@ def test_regions_from_json_raises_only_rcc_errors(text):
         pass
 
 
+@st.composite
+def _any_networks(draw):
+    """A 2-12-variable RCC5 or RCC8 network with arbitrary entries, empty
+    and universal ones included, and sometimes its own labels."""
+    calc = draw(st.sampled_from([RCC5, RCC8]))
+    n = draw(st.integers(2, 12))
+    labels = draw(st.none() | st.lists(
+        st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True),
+        min_size=n, max_size=n, unique=True))
+    net = Network(calc, n, labels)
+    entry = st.sampled_from([0, calc.universal]) | st.integers(0, calc.universal)
+    for i in range(n):
+        for j in range(i + 1, n):
+            net.set_mask(i, j, draw(entry))
+    return net
+
+
+@pytest.mark.parametrize("calc", [RCC5, RCC8], ids=["RCC5", "RCC8"])
+def test_format_parse_round_trip(calc):
+    # every mask, the empty and universal ones included
+    for mask in range(calc.universal + 1):
+        assert calc.parse(calc.format(mask)) == mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_networks())
+def test_save_loads_round_trip(net):
+    assert loads(save(net)) == net
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_networks())
+def test_json_round_trip_property(net):
+    assert from_json(json.loads(json.dumps(to_json(net)))) == net
+
+
 def test_refines():
     star = Network(RCC5, 3)
     net = Network(RCC5, 3)
