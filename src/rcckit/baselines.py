@@ -1,21 +1,22 @@
 """Triple-based simplification baselines and the three-way comparison.
 
-``simple`` sweeps triples (i, j, k) in ascending order and immediately
-drops the (i, k) constraint whenever R_ij . R_jk is contained in it;
-removed constraints become universal and can no longer justify later
-removals, so the visiting order matters.
+Simple sweeps triples (i, j, k) in ascending order and drops the (i, k)
+constraint at once whenever R_ij . R_jk is contained in it.  SimpleExt
+only marks such constraints, requires both justifiers to be unmarked, and
+removes every marked constraint at the end.  By induction from the last
+mark, the output entails what it removed: it is equivalent to the input,
+and its kept edges contain the prime subnetwork's.
 
-``simple_ext`` runs the same sweep but only marks constraints, requiring
-both justifying constraints to be unmarked, and removes every marked
-constraint at the end.  The unmarked-justifier rule guarantees the
-simultaneously removed set is still entailed by what remains.
+On RCC5 and RCC8, r . * = * . r = * for every nonempty r, so a removed
+constraint can justify a removal only beside an empty entry.  One engine
+with SimpleExt's rule therefore serves both :func:`simple` and
+:func:`simple_ext`.  It changes Simple's output only on inputs with an
+empty entry; such an input is inconsistent, and so is the output.
 
-Both return networks equivalent to the input, and their kept edge sets
-always contain the prime subnetwork's.
-
-On RCC5 and RCC8 both return the same network: r . * = * . r = * for
-every nonempty r, so a constraint Simple has removed can never justify
-another removal, which is SimpleExt's unmarked-justifier rule.
+The engine tests the a-closure's gather, comp[m_ij, m_jk] within m_ik,
+for k outside {i, j} and non-universal m_ik.  A step of row i marks only
+row i and column i, so the sweep is one left-to-right scan over j per
+row, on Python-int bitsets.
 """
 
 from __future__ import annotations
@@ -23,77 +24,84 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .errors import RccError
 from .network import Network
-from .reasoning import DEFAULT_GUARD
+from .reasoning import DEFAULT_GUARD, _gathers
 from .redundancy import core_algorithm1, detect_distributive, prime_iterative
 
 __all__ = ["simple", "simple_ext", "compare", "ComparisonRow", "rows_to_csv"]
 
 
-def simple(net: Network, _counter: list = None) -> Network:
-    """Greedy one-pass triple simplification (immediate removal)."""
-    m = net.matrix.copy()
-    comp = net.calculus.comp_table
-    conv = net.calculus.conv_table
-    star = np.uint16(net.calculus.universal)
-    n = net.n
-    checks = 0
-    ks = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            keep = (ks != i) & (ks != j)
-            checks += int(keep.sum())
-            hit = keep & (m[i] != star) \
-                & ((comp[int(m[i, j]), m[j]] & ~m[i]) == 0)
-            if hit.any():
-                m[i, hit] = star
-                m[hit, i] = star
-    if _counter is not None:
-        _counter.append(checks)
-    out = net.copy()
-    out.matrix = m
-    return out
-
-
-def simple_ext(net: Network, _counter: list = None) -> Network:
-    """Mark-then-remove variant; justifying constraints must be unmarked."""
+def _sweep(net: Network) -> tuple[Network, int]:
+    """SimpleExt's sweep: the simplified network and the number of triple
+    conditions evaluated, n - 2 for every step (i, j) not skipped."""
+    calc = net.calculus
     m = net.matrix
-    comp = net.calculus.comp_table
-    star = np.uint16(net.calculus.universal)
     n = net.n
-    marked = np.zeros((n, n), dtype=bool)
-    checks = 0
-    ks = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            if i == j or marked[i, j]:
-                continue
-            keep = (ks != i) & (ks != j)
-            checks += int(keep.sum())
-            hit = keep & ~marked[i] & ~marked[j] & (m[i] != star) \
-                & ((comp[int(m[i, j]), m[j]] & ~m[i]) == 0)
-            if hit.any():
-                marked[i, hit] = True
-                marked[hit, i] = True
-    if _counter is not None:
-        _counter.append(checks)
+    star = calc.universal
+    width = (n + 7) // 8
+    # marked[i] holds bit k when (i, k) is marked; the diagonal bit keeps
+    # k = i out of every step, as a justifier and as a target
+    marked = [1 << v for v in range(n)]
+    steps = 0
+    for block, gather in _gathers(calc, m):
+        rows = m[block]
+        fires = (((gather & ~rows[:, None, :]) == 0)
+                 & (rows != star)[:, None, :])
+        packed = np.packbits(fires, axis=2, bitorder="little").tobytes()
+        for r in range(rows.shape[0]):
+            i = block.start + r
+            bit_i = 1 << i
+            seen = marked[i]
+            for j in range(n):
+                if seen >> j & 1:
+                    continue
+                steps += 1
+                at = (r * n + j) * width
+                hits = (int.from_bytes(packed[at:at + width], "little")
+                        & ~seen & ~marked[j])
+                seen |= hits
+                while hits:
+                    low = hits & -hits
+                    marked[low.bit_length() - 1] |= bit_i
+                    hits ^= low
+            marked[i] = seen
+    raw = b"".join(bits.to_bytes(width, "little") for bits in marked)
+    removed = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(n, width),
+                            axis=1, count=n, bitorder="little").astype(bool)
+    np.fill_diagonal(removed, False)
     out = net.copy()
-    out.matrix = m.copy()
-    out.matrix[marked] = star
-    return out
+    out.matrix[removed] = star
+    return out, steps * (n - 2)
+
+
+def simple(net: Network) -> Network:
+    """Greedy one-pass triple simplification (immediate removal), run as
+    :func:`simple_ext`; the two differ only on inputs with an empty
+    entry (see the module docstring)."""
+    return _sweep(net)[0]
+
+
+def simple_ext(net: Network) -> Network:
+    """Mark-then-remove variant; justifying constraints must be unmarked."""
+    return _sweep(net)[0]
 
 
 @dataclass
 class ComparisonRow:
-    """Per-instance results of prime vs SimpleExt vs Simple."""
+    """Per-instance results of prime vs SimpleExt vs Simple.
+
+    ``*_kept`` counts the constraints a method keeps.  ``*_checks``
+    counts its triple conditions: ``RedundancyReport.checks`` for
+    Algorithm 1 (0 for the ``iterative`` fold), and n - 2 per step (i, j)
+    the baseline sweep does not skip.  ``*_time`` is wall-clock seconds.
+    Both baselines' columns come from one engine run, so they are equal.
+    """
 
     n: int
     constraint_total: int
@@ -109,15 +117,11 @@ class ComparisonRow:
     prime_method: str
 
 
-def _edges(net: Network) -> set:
-    return set(net.constraint_pairs())
-
-
 def compare(nets: Sequence[Network],
             guard: int = DEFAULT_GUARD) -> tuple[list[ComparisonRow], str]:
-    """Run all three simplifiers on each network.
+    """Run the prime subnetwork and the baseline engine on each network.
 
-    Validates the nesting invariant prime <= SimpleExt <= Simple (as edge
+    Validates the nesting invariant prime <= SimpleExt = Simple (as edge
     sets) on every instance and returns the rows plus their CSV rendering.
     Falls back from the cubic algorithm to the iterative fold when the
     entries do not fit a distributive subalgebra.
@@ -127,37 +131,31 @@ def compare(nets: Sequence[Network],
         t0 = time.perf_counter()
         if detect_distributive(net) is not None:
             report = core_algorithm1(net)
-            prime_net = report.network
-            prime_checks = report.checks
+            prime_net, prime_checks = report.network, report.checks
             method = "algorithm1"
         else:
-            prime_net = prime_iterative(net, guard=guard)
-            prime_checks = 0
+            prime_net, prime_checks = prime_iterative(net, guard=guard), 0
             method = "iterative"
         t1 = time.perf_counter()
-        cnt = []
-        ext_net = simple_ext(net, cnt)
+        base_net, checks = _sweep(net)
         t2 = time.perf_counter()
-        simple_net = simple(net, cnt)
-        t3 = time.perf_counter()
-        prime_edges = _edges(prime_net)
-        ext_edges = _edges(ext_net)
-        simple_edges = _edges(simple_net)
-        if not (prime_edges <= ext_edges <= simple_edges):
+        prime_edges = set(prime_net.constraint_pairs())
+        base_edges = set(base_net.constraint_pairs())
+        if not prime_edges <= base_edges:
             raise RccError("nesting invariant violated: prime <= SimpleExt "
-                           "<= Simple failed on an instance")
+                           "failed on an instance")
         rows.append(ComparisonRow(
             n=net.n,
             constraint_total=net.constraint_count(),
             prime_kept=len(prime_edges),
-            simpleext_kept=len(ext_edges),
-            simple_kept=len(simple_edges),
+            simpleext_kept=len(base_edges),
+            simple_kept=len(base_edges),
             prime_checks=prime_checks,
-            simpleext_checks=cnt[0],
-            simple_checks=cnt[1],
+            simpleext_checks=checks,
+            simple_checks=checks,
             prime_time=t1 - t0,
             simpleext_time=t2 - t1,
-            simple_time=t3 - t2,
+            simple_time=t2 - t1,
             prime_method=method,
         ))
     return rows, rows_to_csv(rows)
@@ -165,11 +163,9 @@ def compare(nets: Sequence[Network],
 
 def rows_to_csv(rows: Sequence[ComparisonRow]) -> str:
     buf = io.StringIO()
-    names = [f.name for f in fields(ComparisonRow)]
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(names)
+    writer.writerow(f.name for f in fields(ComparisonRow))
     for row in rows:
-        writer.writerow([f"{getattr(row, n):.6f}"
-                         if isinstance(getattr(row, n), float)
-                         else getattr(row, n) for n in names])
+        writer.writerow(f"{v:.6f}" if isinstance(v, float) else v
+                        for v in astuple(row))
     return buf.getvalue()

@@ -246,26 +246,15 @@ def _compare_one(path, guard):
 
 
 def cmd_compare(args):
-    for name in args.algo.split(","):
-        if name not in ("prime", "simpleext", "simple"):
-            raise RccError(f"unknown algorithm {name!r}")
     rows = _map(_compare_one, args.workers, args.nets,
                 [args.guard] * len(args.nets))
-    csv_text = baselines.rows_to_csv(rows)
-    artifacts = []
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        artifacts = [args.out]
+    if not args.json:
+        for name in ("prime", "simpleext", "simple"):
+            print(f"{name}: kept {[getattr(r, f'{name}_kept') for r in rows]}")
+    artifacts = _write_or_print(args, baselines.rows_to_csv(rows), args.out)
     _report(args, "compare", "ok",
             metrics={"instances": len(rows)}, artifacts=artifacts,
             extra={"rows": [vars(r) for r in rows]})
-    if not args.json:
-        for name in args.algo.split(","):
-            kept = [getattr(r, f"{name}_kept") for r in rows]
-            print(f"{name}: kept {kept}")
-        if not args.out:
-            sys.stdout.write(csv_text)
     return 0
 
 
@@ -312,19 +301,19 @@ def _bench_one(size, seed, profile, sub_name):
 
 
 def cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        raise RccError(f"malformed --sizes {args.sizes!r}; expected "
+                       "comma-separated integers") from None
     sub_name = args.subalgebra if args.subalgebra not in (None, "auto") \
         else "D8_41"
     rows = _map(_bench_one, args.workers, sizes, [args.seed] * len(sizes),
                 [args.profile] * len(sizes), [sub_name] * len(sizes))
     csv_text = baselines.rows_to_csv(rows)
-    artifacts = []
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        artifacts = [args.out]
     metrics = {"instances": len(rows)}
-    if len(rows) >= 2:
+    # a fit over fewer than two distinct sizes is meaningless
+    if len(set(sizes)) >= 2:
         ns = np.array([r.n for r in rows], dtype=float)
         kept = np.array([r.prime_kept for r in rows], dtype=float)
         times = np.array([max(r.prime_time, 1e-9) for r in rows])
@@ -336,11 +325,10 @@ def cmd_bench(args):
         metrics["time_loglog_slope"] = float(slope_fit[0])
         metrics["kept_linear_r2"] = 1.0 - ss_res / ss_tot if ss_tot else 1.0
         metrics["kept_linear_coeff"] = float(lin[0])
+    artifacts = _write_or_print(args, csv_text, args.out)
     _report(args, "bench", "ok", metrics=metrics, artifacts=artifacts,
             extra={"rows": [vars(r) for r in rows]})
     if not args.json:
-        if not args.out:
-            sys.stdout.write(csv_text)
         for key in ("time_loglog_slope", "kept_linear_r2"):
             if key in metrics:
                 print(f"{key}: {metrics[key]:.3f}")
@@ -426,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("compare", cmd_compare, guard, workers,
             help="prime vs SimpleExt vs Simple")
     p.add_argument("nets", nargs="+")
-    p.add_argument("--algo", default="prime,simpleext,simple")
     p.add_argument("--out")
 
     p = add("geom2net", cmd_geom2net, help="RCC8 scenario from region JSON")

@@ -5,9 +5,10 @@ rule R_ij <- (R_ik . R_kj) & R_ij.  :func:`a_closure` reaches it with one
 engine for every size: sweeps over blocks of rows that apply the rule for
 all k at once, repeated until a sweep changes nothing.  For networks over
 a tractable subclass (and for basic networks) it decides consistency.
-The per-block meet AND_k R_ik . R_kj is one kernel, ``_meets``; Algorithm 1
-(:func:`rcckit.redundancy.core_algorithm1`) runs one more pass of it over
-the closed matrix to compute every Q_ij.
+The per-block gather of every R_ij . R_jk, ``_gathers``, is one kernel:
+``_meets`` AND-reduces it for the closure and for Algorithm 1's Q_ij
+(:func:`rcckit.redundancy.core_algorithm1`), and the Simple/SimpleExt
+engine (:mod:`rcckit.baselines`) tests it directly.
 
 The backtracking oracle asks one question, through one probe, ``_narrow``:
 does the network keep a solution once some entries are narrowed?  The
@@ -54,7 +55,7 @@ __all__ = [
 
 DEFAULT_GUARD = 12
 
-# bounds the entries of the temporary gathered per block of rows in _close
+# bounds the entries of the temporary gathered per block of rows in _gathers
 _BLOCK_CELLS = 2 ** 15
 
 
@@ -127,11 +128,12 @@ def _pca_lists(calc, m: list[list[int]],
     return None
 
 
-def _meets(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+def _gathers(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """Lazily, per block of rows: the block's slice and, for its rows i,
-    AND_k comp[m[i, k], m[k, :]].  Each block reads m when it is computed,
-    so a caller may write a block back before the next one is computed.
-    A block gathers at most ``_BLOCK_CELLS`` entries, or one row."""
+    the gather G[i, j, k] = comp[m[i, j], m[j, k]].  Each block reads m
+    when it is computed, so a caller may write a block back before the
+    next one is computed.  A block gathers at most ``_BLOCK_CELLS``
+    entries, or one row."""
     # comp_table[r, s] sits at (r << size) | s of the flattened table;
     # one flat gather is several times faster than a two-index gather
     comp = calc.comp_table.ravel()
@@ -140,7 +142,14 @@ def _meets(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     for lo in range(0, n, height):
         block = slice(lo, lo + height)
         pairs = (m[block, :, None].astype(np.intp) << calc.size) | m
-        yield block, np.bitwise_and.reduce(comp[pairs], axis=1)
+        yield block, comp[pairs]
+
+
+def _meets(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """:func:`_gathers` AND-reduced over the middle index: per block of
+    rows, its slice and AND_k comp[m[i, k], m[k, :]] for its rows i."""
+    for block, gather in _gathers(calc, m):
+        yield block, np.bitwise_and.reduce(gather, axis=1)
 
 
 def _close(calc, m: np.ndarray) -> tuple[Optional[tuple[int, int, int]], int]:

@@ -2,13 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import util_instances as gen
-from rcckit import RCC8, Network
-from rcckit.algebra import d8_41
-from rcckit.baselines import ComparisonRow, compare, rows_to_csv, simple, simple_ext
-from rcckit.redundancy import core_algorithm1, equivalent
+from rcckit import RCC5, RCC8, Network
+from rcckit.algebra import d8_41, d8_64
+from rcckit.baselines import (ComparisonRow, _sweep, compare, simple,
+                              simple_ext)
+from rcckit.geometry import generate_regions, scenario_from_regions
+from rcckit.redundancy import core_algorithm1, equivalent, weaken_scenario
 
 
 def nested_chain():
@@ -116,3 +119,103 @@ def test_csv_is_deterministic():
     stable = [",".join(line.split(",")[:8]) for line in a.splitlines()]
     stable_b = [",".join(line.split(",")[:8]) for line in b.splitlines()]
     assert stable == stable_b
+
+
+def _reference_simple(net):
+    """The immediate-removal triple loop, kept as an independent reference:
+    the simplified network and its n(n-1)(n-2) triple conditions."""
+    m = net.matrix.copy()
+    comp = net.calculus.comp_table
+    star = np.uint16(net.calculus.universal)
+    n = net.n
+    checks = 0
+    ks = np.arange(n)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            keep = (ks != i) & (ks != j)
+            checks += int(keep.sum())
+            hit = keep & (m[i] != star) \
+                & ((comp[int(m[i, j]), m[j]] & ~m[i]) == 0)
+            if hit.any():
+                m[i, hit] = star
+                m[hit, i] = star
+    out = net.copy()
+    out.matrix = m
+    return out, checks
+
+
+def _reference_simple_ext(net):
+    """The mark-then-remove triple loop, kept as an independent reference:
+    the simplified network and the triple conditions it evaluated."""
+    m = net.matrix
+    comp = net.calculus.comp_table
+    star = np.uint16(net.calculus.universal)
+    n = net.n
+    marked = np.zeros((n, n), dtype=bool)
+    checks = 0
+    ks = np.arange(n)
+    for i in range(n):
+        for j in range(n):
+            if i == j or marked[i, j]:
+                continue
+            keep = (ks != i) & (ks != j)
+            checks += int(keep.sum())
+            hit = keep & ~marked[i] & ~marked[j] & (m[i] != star) \
+                & ((comp[int(m[i, j]), m[j]] & ~m[i]) == 0)
+            if hit.any():
+                marked[i, hit] = True
+                marked[hit, i] = True
+    out = net.copy()
+    out.matrix = m.copy()
+    out.matrix[marked] = star
+    return out, checks
+
+
+def _random_networks(calc, count, seed):
+    """Random 3-12-variable networks: entries drawn from random masks, the
+    universal relation and (in every third network) the empty one, so
+    inconsistent inputs are common."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(3, 12)
+        net = Network(calc, n)
+        p_empty = 0.03 if t % 3 == 0 else 0.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                u = rng.random()
+                if u < p_empty:
+                    mask = 0
+                elif u < 0.3:
+                    mask = calc.universal
+                elif u < 0.7:
+                    mask = 1 << rng.randrange(calc.size)
+                else:
+                    mask = rng.randrange(1, calc.universal)
+                net.set_mask(i, j, mask)
+        yield net
+
+
+def _weakened_scenes():
+    for n in (19, 60):
+        for profile in ("nested", "scattered"):
+            scene = scenario_from_regions(generate_regions(n, 500 + n, profile))
+            for sub in (d8_41(), d8_64()):
+                yield weaken_scenario(scene, sub, random.Random(n + len(sub)))
+
+
+def test_one_engine_matches_both_loops():
+    nets = [*_random_networks(RCC5, 150, 11), *_random_networks(RCC8, 150, 13),
+            *_weakened_scenes()]
+    with_empty = 0
+    for net in nets:
+        out, checks = _sweep(net)
+        ref_ext, ext_checks = _reference_simple_ext(net)
+        assert out == ref_ext and checks == ext_checks
+        assert simple_ext(net) == out and simple(net) == out
+        if (net.matrix == 0).any():
+            with_empty += 1
+            continue
+        assert out == _reference_simple(net)[0]
+    assert 30 <= with_empty < len(nets)

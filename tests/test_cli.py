@@ -107,6 +107,7 @@ def test_bad_variable_numbers_exit_2(capsys, example1_path, argv, message):
     ("entails", "1", "2", "PP", "--seed", "1"),
     ("prime", "--workers", "2"),
     ("reconstitute", "regions.json", "--guard", "5"),
+    ("compare", "--algo", "prime"),
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flags_a_subcommand_ignores_are_usage_errors(capsys, example1_path,
                                                      argv):
@@ -197,8 +198,10 @@ def test_compare_csv(capsys, example1_path, tmp_path):
     lines = out_path.read_text().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("n,constraint_total,prime_kept")
-    code, _, _ = run(capsys, "compare", example1_path, "--algo", "nonsense")
-    assert code == 2
+    code, out, _ = run(capsys, "compare", example1_path)
+    assert code == 0
+    assert out.splitlines()[:3] == ["prime: kept [5]", "simpleext: kept [6]",
+                                    "simple: kept [6]"]
 
 
 def test_bench_small(capsys, tmp_path):
@@ -210,6 +213,19 @@ def test_bench_small(capsys, tmp_path):
     assert doc["metrics"]["instances"] == 2
     assert "time_loglog_slope" in doc["metrics"]
     assert out_path.exists()
+
+
+@pytest.mark.parametrize("sizes", ["a", "8,x", "1.5"])
+def test_bench_malformed_sizes_exit_2(capsys, sizes):
+    code, out, err = run(capsys, "bench", "--sizes", sizes)
+    assert code == 2 and not out
+    assert err.startswith(f"error: malformed --sizes {sizes!r}")
+
+
+def test_bench_fits_only_over_distinct_sizes(capsys):
+    code, out, _ = run(capsys, "bench", "--sizes", "5,5", "--json")
+    assert code == 0
+    assert json.loads(out)["metrics"] == {"instances": 2}
 
 
 def test_bench_empty_sizes(capsys, tmp_path):
