@@ -46,6 +46,7 @@ from .redundancy import (
     core_algorithm1,
     equivalent,
     is_redundant,
+    prime,
     prime_iterative,
 )
 from .baselines import ComparisonRow, compare, simple, simple_ext

@@ -5,7 +5,7 @@ converse, nonempty intersection, and weak composition.  The interesting
 ones are *distributive*: weak composition distributes over nonempty
 intersections of members.  Each calculus has exactly two maximal
 distributive subalgebras, recovered by :func:`maximal_distributive`
-from the closure of the basic relations.
+from the closure of the basic relations, :func:`bhat`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "is_distributive",
     "helly_check",
     "maximal_distributive",
-    "membership",
     "bhat",
     "d5_14",
     "d5_20",
@@ -81,22 +80,10 @@ class Subalgebra:
         self.name = name
         self.contains_all_basic = all(
             (1 << i) in self.members for i in range(calc.size))
-        self.closed = self._compute_closed()
+        self.closed = _closed_masks(calc, self.members) == self.members
         self.distributive = bool(is_distributive(calc, self.members))
         self.tractable = self.distributive if tractable is None else tractable
         self._cover = None
-
-    def _compute_closed(self) -> bool:
-        calc = self.calculus
-        for a in self.members:
-            if calc.converse_mask(a) not in self.members:
-                return False
-            for b in self.members:
-                if calc.compose_masks(a, b) not in self.members:
-                    return False
-                if a & b and (a & b) not in self.members:
-                    return False
-        return True
 
     def sorted_masks(self) -> list[int]:
         return sorted(self.members)
@@ -149,7 +136,13 @@ class Subalgebra:
 def closure(calc: Calculus, seed: Iterable) -> Subalgebra:
     """Least set containing ``seed`` closed under converse, nonempty
     intersection, and weak composition.  The empty relation is excluded."""
-    masks = set(_as_masks(calc, seed))
+    return Subalgebra(calc, _closed_masks(calc, _as_masks(calc, seed)))
+
+
+def _closed_masks(calc: Calculus, seed: Iterable[int]) -> frozenset[int]:
+    """The masks of :func:`closure`; a set is closed iff this adds
+    nothing to it."""
+    masks = set(seed)
     masks.discard(0)
     frontier = set(masks)
     while frontier:
@@ -166,7 +159,7 @@ def closure(calc: Calculus, seed: Iterable) -> Subalgebra:
                         new.add(x)
         masks |= new
         frontier = new
-    return Subalgebra(calc, masks)
+    return frozenset(masks)
 
 
 def is_distributive(calc: Calculus, members: Iterable) -> CheckResult:
@@ -241,13 +234,13 @@ def _maximal_cliques(nodes: list[int], adj: dict[int, set[int]]):
 def maximal_distributive(calc: Calculus) -> list[Subalgebra]:
     """All maximal distributive subalgebras of a calculus.
 
-    Starts from the closure of the basic relations, collects every
-    relation that keeps the set distributive on its own, links pairs
-    that stay distributive together (the d-relation), and extends the
-    closure by each maximal clique.  Results are sorted by size.
+    Starts from the closure of the basic relations, :func:`bhat`,
+    collects every relation that keeps the set distributive on its own,
+    links pairs that stay distributive together (the d-relation), and
+    extends the closure by each maximal clique.  Results are sorted by
+    size.
     """
-    base = closure(calc, [Relation(calc, 1 << i) for i in range(calc.size)])
-    base_masks = base.members
+    base_masks = bhat(calc).members
     extras = [m for m in range(1, calc.universal + 1)
               if m not in base_masks]
     d_set = [a for a in extras
@@ -266,10 +259,6 @@ def maximal_distributive(calc: Calculus) -> list[Subalgebra]:
         out.append(sub)
     out.sort(key=lambda s: (len(s), s.sorted_masks()))
     return out
-
-
-def membership(sub: Subalgebra, r: Relation) -> bool:
-    return r in sub
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import RccError
 from .network import Network
 from .reasoning import DEFAULT_GUARD, _gathers
-from .redundancy import core_algorithm1, detect_distributive, prime_iterative
+from .redundancy import prime
 
 __all__ = ["simple", "simple_ext", "compare", "ComparisonRow", "rows_to_csv"]
 
@@ -123,23 +123,17 @@ def compare(nets: Sequence[Network],
 
     Validates the nesting invariant prime <= SimpleExt = Simple (as edge
     sets) on every instance and returns the rows plus their CSV rendering.
-    Falls back from the cubic algorithm to the iterative fold when the
-    entries do not fit a distributive subalgebra.
+    The prime column comes from :func:`rcckit.redundancy.prime`, so it
+    picks the engine and rejects inconsistent inputs the same way.
     """
     rows = []
     for net in nets:
         t0 = time.perf_counter()
-        if detect_distributive(net) is not None:
-            report = core_algorithm1(net)
-            prime_net, prime_checks = report.network, report.checks
-            method = "algorithm1"
-        else:
-            prime_net, prime_checks = prime_iterative(net, guard=guard), 0
-            method = "iterative"
+        report = prime(net, guard=guard)
         t1 = time.perf_counter()
         base_net, checks = _sweep(net)
         t2 = time.perf_counter()
-        prime_edges = set(prime_net.constraint_pairs())
+        prime_edges = set(report.network.constraint_pairs())
         base_edges = set(base_net.constraint_pairs())
         if not prime_edges <= base_edges:
             raise RccError("nesting invariant violated: prime <= SimpleExt "
@@ -150,13 +144,13 @@ def compare(nets: Sequence[Network],
             prime_kept=len(prime_edges),
             simpleext_kept=len(base_edges),
             simple_kept=len(base_edges),
-            prime_checks=prime_checks,
+            prime_checks=report.checks,
             simpleext_checks=checks,
             simple_checks=checks,
             prime_time=t1 - t0,
             simpleext_time=t2 - t1,
             simple_time=t2 - t1,
-            prime_method=method,
+            prime_method=report.method,
         ))
     return rows, rows_to_csv(rows)
 

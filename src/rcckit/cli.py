@@ -105,15 +105,23 @@ def cmd_closure(args):
     return 0
 
 
-def cmd_consistent(args):
+def _yes_no(args, yes, no, decide):
+    """Load ``args.net`` and report ``decide(net)``: outcome ``yes`` and
+    exit 0, or ``no`` and exit 1; text output spells dashes as spaces."""
     net = network.load(args.net)
-    ok = reasoning.is_consistent(net, _resolve_sub(args.subalgebra),
-                                 guard=args.guard)
-    _report(args, "consistent", "consistent" if ok else "inconsistent",
-            extra={"input": net.digest()})
+    ok = decide(net)
+    outcome = yes if ok else no
+    _report(args, args.command, outcome, extra={"input": net.digest()})
     if not args.json:
-        print("consistent" if ok else "inconsistent")
+        print(outcome.replace("-", " "))
     return 0 if ok else 1
+
+
+def cmd_consistent(args):
+    sub = _resolve_sub(args.subalgebra)
+    return _yes_no(args, "consistent", "inconsistent",
+                   lambda net: reasoning.is_consistent(net, sub,
+                                                       guard=args.guard))
 
 
 def cmd_solve(args):
@@ -131,36 +139,24 @@ def cmd_solve(args):
 
 
 def cmd_entails(args):
-    net = network.load(args.net)
-    rel = net.calculus.relation(args.relation)
-    i, j = net.index_of(args.i - 1), net.index_of(args.j - 1)
-    ok = reasoning.entails(net, i, j, rel, guard=args.guard)
-    _report(args, "entails", "entailed" if ok else "not-entailed",
-            extra={"input": net.digest()})
-    if not args.json:
-        print("entailed" if ok else "not entailed")
-    return 0 if ok else 1
+    def decide(net):
+        rel = net.calculus.relation(args.relation)
+        i, j = net.index_of(args.i - 1), net.index_of(args.j - 1)
+        return reasoning.entails(net, i, j, rel, guard=args.guard)
+
+    return _yes_no(args, "entailed", "not-entailed", decide)
 
 
 def cmd_redundant(args):
-    net = network.load(args.net)
-    ok = redundancy.is_redundant(net, net.index_of(args.i - 1),
-                                 net.index_of(args.j - 1), guard=args.guard)
-    _report(args, "redundant", "redundant" if ok else "not-redundant",
-            extra={"input": net.digest()})
-    if not args.json:
-        print("redundant" if ok else "not redundant")
-    return 0 if ok else 1
+    return _yes_no(args, "redundant", "not-redundant",
+                   lambda net: redundancy.is_redundant(
+                       net, net.index_of(args.i - 1),
+                       net.index_of(args.j - 1), guard=args.guard))
 
 
 def cmd_minimal_check(args):
-    net = network.load(args.net)
-    ok = reasoning.check_minimal(net, guard=args.guard)
-    _report(args, "minimal-check", "minimal" if ok else "not-minimal",
-            extra={"input": net.digest()})
-    if not args.json:
-        print("minimal" if ok else "not minimal")
-    return 0 if ok else 1
+    return _yes_no(args, "minimal", "not-minimal",
+                   lambda net: reasoning.check_minimal(net, guard=args.guard))
 
 
 def _pairs_1based(pairs):
@@ -169,7 +165,7 @@ def _pairs_1based(pairs):
 
 def cmd_prime(args):
     net = network.load(args.net)
-    t0 = time.perf_counter()
+    order = None
     if args.order:
         order = []
         for chunk in args.order.split(","):
@@ -179,30 +175,20 @@ def cmd_prime(args):
                 raise RccError(f"malformed --order pair {chunk!r}; "
                                "expected I-J") from None
             order.append((net.index_of(a - 1), net.index_of(b - 1)))
-        out_net = redundancy.prime_iterative(net, order, guard=args.guard)
-        method = "iterative"
-        checks = 0
-    elif args.subalgebra not in (None, "auto") \
-            or redundancy.detect_distributive(net) is not None:
-        rep = redundancy.core_algorithm1(net, _resolve_sub(args.subalgebra))
-        out_net, method, checks = rep.network, "algorithm1", rep.checks
-    else:
-        out_net = redundancy.prime_iterative(net, guard=args.guard)
-        method = "iterative"
-        checks = 0
+    t0 = time.perf_counter()
+    rep = redundancy.prime(net, order, _resolve_sub(args.subalgebra),
+                           guard=args.guard)
     elapsed = time.perf_counter() - t0
-    removed = sorted(set(net.constraint_pairs())
-                     - set(out_net.constraint_pairs()))
-    artifacts = _write_or_print(args, network.save(out_net), args.out)
+    artifacts = _write_or_print(args, network.save(rep.network), args.out)
     _report(args, "prime", "ok",
-            metrics={"checks": checks, "seconds": elapsed},
+            metrics={"checks": rep.checks, "seconds": elapsed},
             artifacts=artifacts,
-            extra={"input": net.digest(), "method": method,
-                   "removed": _pairs_1based(removed),
-                   "kept": _pairs_1based(out_net.constraint_pairs())})
+            extra={"input": net.digest(), "method": rep.method,
+                   "removed": _pairs_1based(rep.nontrivial),
+                   "kept": _pairs_1based(rep.network.constraint_pairs())})
     if not args.json:
-        print(f"method {method}: removed {len(removed)} constraints, "
-              f"kept {out_net.constraint_count()}")
+        print(f"method {rep.method}: removed {len(rep.nontrivial)} "
+              f"constraints, kept {rep.network.constraint_count()}")
     return 0
 
 

@@ -4,7 +4,8 @@ The a-closure (algebraic closure) is the fixed point of the refinement
 rule R_ij <- (R_ik . R_kj) & R_ij.  :func:`a_closure` reaches it with one
 engine for every size: sweeps over blocks of rows that apply the rule for
 all k at once, repeated until a sweep changes nothing.  For networks over
-a tractable subclass (and for basic networks) it decides consistency.
+a tractable subclass (basic networks among them) it decides consistency;
+``_closure_decides`` is the one test of that, for every caller here.
 The per-block gather of every R_ij . R_jk, ``_gathers``, is one kernel:
 ``_meets`` AND-reduces it for the closure and for Algorithm 1's Q_ij
 (:func:`rcckit.redundancy.core_algorithm1`), and the Simple/SimpleExt
@@ -236,25 +237,28 @@ def _require_members(net: Network, sub: Subalgebra) -> None:
             f"entries outside {sub.name or 'the subalgebra'}: {bad}")
 
 
-def _check_membership(net: Network, sub: Subalgebra) -> None:
-    if not sub.tractable:
+def _closure_decides(net: Network, subclass: Subalgebra = None) -> bool:
+    """Does the a-closure decide this network?  A given subclass must be
+    tractable and hold every entry; else a built-in one is looked for
+    (Bhat, the first, holds every basic network)."""
+    if subclass is None:
+        return detect_tractable(net) is not None
+    if not subclass.tractable:
         raise MembershipError(
-            f"subalgebra {sub.name or '?'} is not flagged tractable")
-    _require_members(net, sub)
+            f"subalgebra {subclass.name or '?'} is not flagged tractable")
+    _require_members(net, subclass)
+    return True
 
 
 def is_consistent(net: Network, subclass: Subalgebra = None,
                   guard: int = DEFAULT_GUARD) -> bool:
     """Decide consistency.
 
-    Networks over a tractable subclass (given or auto-detected) and basic
-    networks are decided by the a-closure; anything else falls back to
-    the backtracking oracle, subject to the size guard.
+    Networks over a tractable subclass (given or auto-detected) are
+    decided by the a-closure; anything else falls back to the
+    backtracking oracle, subject to the size guard.
     """
-    if subclass is not None:
-        _check_membership(net, subclass)
-        return a_closure(net).consistent
-    if net.is_basic or detect_tractable(net) is not None:
+    if _closure_decides(net, subclass):
         return a_closure(net).consistent
     return solve(net, guard=guard) is not None
 
@@ -389,8 +393,7 @@ def entails(net: Network, i: int, j: int, r: Relation,
     if net.mask(i, j) != calc.universal:
         wide = net.copy()
         wide.set_mask(i, j, calc.universal)
-    search = detect_tractable(wide) is None and not wide.is_basic
-    return not any(_solvable(net, pins, guard, search))
+    return not any(_solvable(net, pins, guard, not _closure_decides(wide)))
 
 
 @dataclass
@@ -409,9 +412,7 @@ def all_different(net: Network, subclass: Subalgebra = None) -> AllDifferentResu
     the a-closure entry is exactly EQ.  Inconsistent networks are
     rejected: they entail everything.
     """
-    if subclass is not None:
-        _check_membership(net, subclass)
-    elif not net.is_basic and detect_tractable(net) is None:
+    if not _closure_decides(net, subclass):
         raise MembershipError(
             "network is not over a built-in tractable subalgebra; "
             "pass an asserted subclass")

@@ -1,9 +1,15 @@
 """Redundant constraints, cores, and prime subnetworks.
 
 A constraint is redundant when the rest of the network entails it; the
-core is the set of non-redundant constraints.  Over a distributive
-subalgebra an all-different network has a unique prime subnetwork, equal
-to its core, and it is computed in cubic time by :func:`core_algorithm1`:
+core is the set of non-redundant constraints.  :func:`prime` picks the
+engine for a prime subnetwork: a given removal order runs the fold,
+:func:`prime_iterative`; a given subalgebra, or a detected distributive
+one, runs :func:`core_algorithm1`; anything else runs the fold.  Either
+way an inconsistent input raises :class:`InconsistentNetworkError`.
+
+Over a distributive subalgebra an all-different network has a unique
+prime subnetwork, equal to its core, and it is computed in cubic time by
+:func:`core_algorithm1`:
 take the a-closure once, then an entry (i, j) is redundant exactly when
 the intersection Q_ij of S_ik . S_kj over all other k reproduces S_ij.
 Every Q_ij comes from one more pass of the a-closure's own meet kernel
@@ -25,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import Subalgebra
+from .algebra import Subalgebra, _maximal
 from .errors import (
     InconsistentNetworkError,
     MembershipError,
@@ -42,12 +48,14 @@ from .reasoning import (
     _solvable,
     a_closure,
     entails,
+    is_consistent,
 )
 
 __all__ = [
     "RedundancyReport",
     "is_redundant",
     "core",
+    "prime",
     "prime_iterative",
     "core_algorithm1",
     "equivalent",
@@ -66,7 +74,7 @@ class RedundancyReport:
     ``checks`` counts the work done: for ``sweep``, the non-universal
     constraints tested; for ``algorithm1``, the compositions S_ik . S_kj
     its Q test meets, one per pair i < j and other k, n(n-1)(n-2)/2 in
-    all (there is no early exit).
+    all (there is no early exit); for the ``iterative`` fold, 0.
     """
 
     redundant: set = field(default_factory=set)
@@ -102,21 +110,14 @@ def core(net: Network, guard: int = DEFAULT_GUARD) -> RedundancyReport:
     The resulting core network need not be equivalent to the input when
     the input is not all-different over a distributive subalgebra.
     """
-    report = RedundancyReport(method="sweep")
-    star = net.calculus.universal
     out = net.copy()
-    for i in range(net.n):
-        for j in range(i + 1, net.n):
-            if net.mask(i, j) == star:
-                report.trivially_redundant.add((i, j))
-                report.redundant.add((i, j))
-                continue
-            report.checks += 1
-            if is_redundant(net, i, j, guard=guard):
-                report.redundant.add((i, j))
-                out.set_mask(i, j, star)
-    report.network = out
-    return report
+    for i, j in net.constraint_pairs():
+        if is_redundant(net, i, j, guard=guard):
+            out.set_mask(i, j, net.calculus.universal)
+    return _report(net, out, "sweep", net.constraint_count())
+
+
+_NEEDS_CONSISTENT = "a prime subnetwork needs a consistent network"
 
 
 def _normalized_order(net: Network, order) -> list[tuple[int, int]]:
@@ -155,14 +156,24 @@ def detect_distributive(net: Network) -> Optional[Subalgebra]:
     Detection order is fixed (the smaller subalgebra first) so results
     are deterministic; both give identical answers where both apply.
     """
-    from .algebra import d5_14, d5_20, d8_41, d8_64
-    from .calculus import RCC5
-
-    pair = (d5_14(), d5_20()) if net.calculus is RCC5 else (d8_41(), d8_64())
-    for sub in pair:
+    for sub in _maximal(net.calculus):
         if not _outside(net, sub):
             return sub
     return None
+
+
+def prime(net: Network, order: Sequence[tuple[int, int]] = None,
+          subalgebra: Subalgebra = None,
+          guard: int = DEFAULT_GUARD) -> RedundancyReport:
+    """A prime subnetwork, by the engine the module docstring describes;
+    the report's ``method`` is ``algorithm1`` or ``iterative``.  The fold
+    is preceded by one consistency check."""
+    if order is None and (subalgebra is not None
+                          or detect_distributive(net) is not None):
+        return core_algorithm1(net, subalgebra)
+    if not is_consistent(net, guard=guard):
+        raise InconsistentNetworkError(_NEEDS_CONSISTENT)
+    return _report(net, prime_iterative(net, order, guard=guard), "iterative")
 
 
 def core_algorithm1(net: Network,
@@ -186,8 +197,7 @@ def core_algorithm1(net: Network,
         _require_members(net, subalgebra)
     res = a_closure(net)
     if not res.consistent:
-        raise InconsistentNetworkError(
-            "the cubic redundancy algorithm needs a consistent network")
+        raise InconsistentNetworkError(_NEEDS_CONSISTENT)
     calc = net.calculus
     n = net.n
     closed = res.network.matrix
@@ -201,14 +211,22 @@ def core_algorithm1(net: Network,
     q = closed.copy()
     np.fill_diagonal(q, star)
     q = np.concatenate([block for _, block in _meets(calc, q)])
-    trivial = upper & (net.matrix == star)
-    redundant = (upper & (q == closed)) | trivial
+    redundant = upper & (q == closed)
     out = net.copy()
     out.matrix[redundant | redundant.T] = star
-    return RedundancyReport(redundant=_pairs(redundant),
-                            trivially_redundant=_pairs(trivial),
-                            method="algorithm1",
-                            checks=n * (n - 1) * (n - 2) // 2, network=out)
+    return _report(net, out, "algorithm1", n * (n - 1) * (n - 2) // 2)
+
+
+def _report(net: Network, out: Network, method: str,
+            checks: int = 0) -> RedundancyReport:
+    """The report of ``out``, ``net`` with its redundant constraints made
+    universal: the universal pairs of each, above the diagonal."""
+    upper = np.triu(np.ones((net.n, net.n), dtype=bool), k=1)
+    star = net.calculus.universal
+    return RedundancyReport(redundant=_pairs(upper & (out.matrix == star)),
+                            trivially_redundant=_pairs(
+                                upper & (net.matrix == star)),
+                            method=method, checks=checks, network=out)
 
 
 def _pairs(mask: np.ndarray) -> set:

@@ -11,7 +11,8 @@ from rcckit.algebra import d8_41, d8_64
 from rcckit.baselines import (ComparisonRow, _sweep, compare, simple,
                               simple_ext)
 from rcckit.geometry import generate_regions, scenario_from_regions
-from rcckit.redundancy import core_algorithm1, equivalent, weaken_scenario
+from rcckit.redundancy import (core_algorithm1, equivalent, prime,
+                               weaken_scenario)
 
 
 def nested_chain():
@@ -105,9 +106,17 @@ def test_compare_empty_batch():
 
 
 def test_compare_falls_back_to_iterative(example1):
-    rows, _ = compare([example1])
+    distributive = next(gen.all_different_instances(d8_41(), 1, seed=43,
+                                                    n_lo=9, n_hi=10))
+    rows, _ = compare([example1, distributive])
     assert rows[0].prime_method == "iterative"
     assert rows[0].prime_kept == 5  # everything but the one redundant edge
+    assert rows[1].prime_method == "algorithm1"
+    # the prime columns are redundancy.prime's report
+    for row, net in zip(rows, (example1, distributive)):
+        rep = prime(net)
+        assert (row.prime_method, row.prime_checks, row.prime_kept) == (
+            rep.method, rep.checks, rep.network.constraint_count())
 
 
 def test_csv_is_deterministic():

@@ -153,6 +153,19 @@ def test_prime_with_explicit_order(capsys, example1_path, tmp_path):
     assert doc["removed"] == [[1, 2]]
 
 
+@pytest.mark.parametrize("command", ["prime", "compare"])
+@pytest.mark.parametrize("rel", ["DR", "0", "DR|PPi"])
+def test_prime_and_compare_reject_inconsistent_input(capsys, tmp_path,
+                                                     command, rel):
+    # 1 PP 2 and 2 PP 3 force 1 PP 3.  DR fits D5_14 (Algorithm 1); 0 and
+    # DR|PPi fit no distributive subalgebra (the fold)
+    path = tmp_path / "bad.net"
+    path.write_text(f"calculus RCC5\nvars 3\n1 2 PP\n2 3 PP\n1 3 {rel}\n")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err == "error: a prime subnetwork needs a consistent network\n"
+
+
 def test_core_command(capsys, example1_path):
     code, out, _ = run(capsys, "core", example1_path, "--json")
     assert code == 0

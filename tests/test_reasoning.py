@@ -218,6 +218,28 @@ def test_detect_tractable(example1):
     assert detect_tractable(net) is not None
 
 
+@st.composite
+def _basic_networks(draw):
+    """A 2-12-variable RCC5 or RCC8 network whose entries are each one
+    basic relation or universal."""
+    calc = draw(st.sampled_from([RCC5, RCC8]))
+    n = draw(st.integers(2, 12))
+    net = Network(calc, n)
+    entry = st.sampled_from([calc.universal]
+                            + [1 << b for b in range(calc.size)])
+    for i, j in itertools.combinations(range(n), 2):
+        net.set_mask(i, j, draw(entry))
+    return net
+
+
+@settings(max_examples=100, deadline=None)
+@given(_basic_networks())
+def test_basic_networks_are_over_a_tractable_builtin(net):
+    # so the a-closure-or-oracle choice needs no case for basic networks
+    assert net.is_basic
+    assert detect_tractable(net) == bhat(net.calculus)
+
+
 def test_solve_examples(example1, bad_triangle):
     scenario = solve(example1)
     assert scenario is not None and scenario.is_scenario

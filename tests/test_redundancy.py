@@ -23,6 +23,7 @@ from rcckit.redundancy import (
     detect_distributive,
     equivalent,
     is_redundant,
+    prime,
     prime_iterative,
     weaken_scenario,
 )
@@ -137,6 +138,55 @@ def test_detect_distributive_order():
     assert detect_distributive(five).name == "D5_14"
     five[0, 1] = "PO|EQ"
     assert detect_distributive(five).name == "D5_20"
+
+
+def _assert_same_report(got, want):
+    assert got.redundant == want.redundant
+    assert got.trivially_redundant == want.trivially_redundant
+    assert (got.method, got.checks) == (want.method, want.checks)
+    assert got.network == want.network
+
+
+def test_prime_dispatch():
+    # a weakened D8_41 scenario: Algorithm 1 unless an order is given
+    net = next(gen.all_different_instances(d8_41(), 1, seed=43,
+                                           n_lo=9, n_hi=10))
+    _assert_same_report(prime(net), core_algorithm1(net))
+    order = list(net.constraint_pairs())
+    random.Random(5).shuffle(order)
+    rep = prime(net, order, d8_41())
+    assert (rep.method, rep.checks) == ("iterative", 0)
+    assert rep.network == prime_iterative(net, order)
+    assert rep.nontrivial == (set(net.constraint_pairs())
+                              - set(rep.network.constraint_pairs()))
+
+
+def test_prime_dispatch_without_a_distributive_fit(example1):
+    # example1 is over H5, which is not distributive: the fold
+    rep = prime(example1)
+    assert (rep.method, rep.checks) == ("iterative", 0)
+    assert rep.network == prime_iterative(example1)
+    assert rep.nontrivial == {(0, 1)}
+    assert rep.trivially_redundant == (
+        {(i, j) for i in range(5) for j in range(i + 1, 5)}
+        - set(example1.constraint_pairs()))
+    # an explicit subalgebra overrides the detection: Algorithm 1
+    _assert_same_report(prime(example1, subalgebra=h5()),
+                        core_algorithm1(example1, h5()))
+
+
+@pytest.mark.parametrize("rel", ["DR", "0", "DR|PPi"])
+def test_prime_rejects_inconsistent_input_on_either_engine(rel):
+    # PP . PP = PP, so (1, 3) cannot be DR; DR fits D5_14 and runs
+    # Algorithm 1, the other two fit no distributive subalgebra
+    net = Network(RCC5, 3)
+    net[0, 1] = "PP"
+    net[1, 2] = "PP"
+    net[0, 2] = rel
+    for order in (None, [(0, 1), (1, 2), (0, 2)]):
+        with pytest.raises(InconsistentNetworkError,
+                           match="a prime subnetwork needs a consistent"):
+            prime(net, order)
 
 
 def test_equivalent_basics(example1, example2, bad_triangle):
