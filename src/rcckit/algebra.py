@@ -6,12 +6,20 @@ ones are *distributive*: weak composition distributes over nonempty
 intersections of members.  Each calculus has exactly two maximal
 distributive subalgebras, recovered by :func:`maximal_distributive`
 from the closure of the basic relations, :func:`bhat`.
+
+One elementwise kernel, ``_breaks``, tests member triples (R, S, T)
+against both identities through the flat composition table.
+:func:`is_distributive` runs it on every member triple of a set.  The
+search runs it only on the triples that can fail: Bhat is distributive,
+so adding relations to it can break an identity only on a triple that
+holds every added relation (see :func:`maximal_distributive`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -162,34 +170,82 @@ def _closed_masks(calc: Calculus, seed: Iterable[int]) -> frozenset[int]:
     return frozenset(masks)
 
 
+# bounds the triples one call of _breaks checks at once, and so its
+# temporaries: the index arrays take 8 bytes a triple
+_BATCH_TRIPLES = 2 ** 15
+
+
+def _breaks(calc: Calculus, r, s, t) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise over uint16 mask arrays (broadcast together): where
+    S&T is nonempty and R.(S&T) != R.S & R.T, and where S&T is nonempty
+    and (S&T).R != S.R & T.R.  A triple breaks distributivity where
+    either array is true."""
+    # comp_table[a, b] sits at (a << size) | b of the flattened table
+    comp = calc.comp_table.ravel()
+    st = s & t
+    rk = r.astype(np.intp) << calc.size
+    first = comp[rk | st] != (comp[rk | s] & comp[rk | t])
+    second = comp[(st.astype(np.intp) << calc.size) | r] != (
+        comp[(s.astype(np.intp) << calc.size) | r]
+        & comp[(t.astype(np.intp) << calc.size) | r])
+    nz = st != 0
+    return nz & first, nz & second
+
+
 def is_distributive(calc: Calculus, members: Iterable) -> CheckResult:
     """Check both distributivity identities over all member triples with
-    nonempty intersection.  Closure of the set is not assumed."""
+    nonempty intersection.  Closure of the set is not assumed.
+
+    The witness is the first triple (R, S, T) of sorted members, in that
+    order, that breaks R.(S&T) = R.S & R.T; failing none, the first in
+    (S, T, R) order that breaks (S&T).R = S.R & T.R."""
     arr = np.array(sorted(_as_masks(calc, members)), dtype=np.uint16)
-    comp = calc.comp_table
-    if arr.size == 0:
+    n = arr.size
+    height = max(1, _BATCH_TRIPLES // max(1, n * n))
+    late = None  # (s, t, r) of the first identity-2 failure so far
+    for lo in range(0, n, height):
+        first, second = _breaks(calc, arr[lo:lo + height, None, None],
+                                arr[None, :, None], arr[None, None, :])
+        if first.any():
+            r, s, t = np.argwhere(first)[0]
+            return _witness(calc, arr, lo + r, s, t)
+        if second.any():
+            s, t, r = np.argwhere(second.transpose(1, 2, 0))[0]
+            here = (s, t, lo + r)
+            late = here if late is None else min(late, here)
+    if late is None:
         return CheckResult(True)
-    st = arr[:, None] & arr[None, :]
-    nz = st != 0
-    # R.(S&T) vs (R.S)&(R.T)
-    lhs = comp[arr[:, None, None], st[None, :, :]]
-    rhs = (comp[arr[:, None, None], arr[None, :, None]]
-           & comp[arr[:, None, None], arr[None, None, :]])
-    bad = (lhs != rhs) & nz[None, :, :]
-    if bad.any():
-        r, s, t = np.argwhere(bad)[0]
-        return CheckResult(False, tuple(
-            Relation(calc, int(arr[i])) for i in (r, s, t)))
-    # (S&T).R vs (S.R)&(T.R)
-    lhs = comp[st[:, :, None], arr[None, None, :]]
-    rhs = (comp[arr[:, None, None], arr[None, None, :]]
-           & comp[arr[None, :, None], arr[None, None, :]])
-    bad = (lhs != rhs) & nz[:, :, None]
-    if bad.any():
-        s, t, r = np.argwhere(bad)[0]
-        return CheckResult(False, tuple(
-            Relation(calc, int(arr[i])) for i in (r, s, t)))
-    return CheckResult(True)
+    s, t, r = late
+    return _witness(calc, arr, r, s, t)
+
+
+def _witness(calc: Calculus, arr: np.ndarray, *idx) -> CheckResult:
+    return CheckResult(False, tuple(Relation(calc, int(arr[i]))
+                                    for i in idx))
+
+
+def _extension_breaks(calc: Calculus, base: Iterable[int],
+                      rows: np.ndarray) -> np.ndarray:
+    """For each row of ``rows`` (k masks outside ``base``), whether
+    base | row breaks distributivity on a triple that holds all k masks.
+
+    The triples are positions in base | row, made once for every row
+    and checked in batches of at most ``_BATCH_TRIPLES``."""
+    base = np.array(sorted(base), dtype=np.uint16)
+    b, k = base.size, rows.shape[1]
+    # at most 255 nonempty masks, so positions fit in uint8
+    pos = np.indices((b + k,) * 3, dtype=np.uint8).reshape(3, -1)
+    pos = pos[:, np.all([(pos == b + i).any(axis=0) for i in range(k)],
+                        axis=0)]
+    table = np.hstack([np.broadcast_to(base, (len(rows), b)),
+                       rows]).astype(np.uint16)
+    out = np.zeros(len(rows), dtype=bool)
+    step = max(1, _BATCH_TRIPLES // pos.shape[1])
+    for lo in range(0, len(rows), step):
+        block = table[lo:lo + step]
+        first, second = _breaks(calc, *(block[:, p] for p in pos))
+        out[lo:lo + step] = (first | second).any(axis=1)
+    return out
 
 
 def helly_check(calc_or_sub, members: Iterable = None) -> CheckResult:
@@ -235,25 +291,32 @@ def maximal_distributive(calc: Calculus) -> list[Subalgebra]:
     """All maximal distributive subalgebras of a calculus.
 
     Starts from the closure of the basic relations, :func:`bhat`,
-    collects every relation that keeps the set distributive on its own,
-    links pairs that stay distributive together (the d-relation), and
-    extends the closure by each maximal clique.  Results are sorted by
-    size.
+    collects every relation that keeps the set distributive on its own
+    (the d-set), links pairs that stay distributive together (the
+    d-relation), and extends the closure by each maximal clique.
+    Results are sorted by size.
+
+    No set is checked whole.  Bhat is distributive, so Bhat | {a} can
+    break an identity only on a triple (R, S, T) that contains a.  Once
+    a and b each pass on their own, Bhat | {a, b} can break one only on
+    a triple that contains both: any other triple lies in Bhat | {a} or
+    Bhat | {b}.  One batched check of those triples covers all
+    candidates, and one more covers all pairs of the d-set.  Each
+    result is then verified whole as it becomes a :class:`Subalgebra`.
     """
-    base_masks = bhat(calc).members
-    extras = [m for m in range(1, calc.universal + 1)
-              if m not in base_masks]
-    d_set = [a for a in extras
-             if is_distributive(calc, base_masks | {a})]
-    adj = {a: set() for a in d_set}
-    for i, a in enumerate(d_set):
-        for b in d_set[i + 1:]:
-            if is_distributive(calc, base_masks | {a, b}):
-                adj[a].add(b)
-                adj[b].add(a)
+    base = bhat(calc).members
+    extras = np.array([m for m in range(1, calc.universal + 1)
+                       if m not in base], dtype=np.uint16)
+    d_set = extras[~_extension_breaks(calc, base, extras[:, None])]
+    pairs = np.array(list(combinations(d_set.tolist(), 2)),
+                     dtype=np.uint16).reshape(-1, 2)
+    adj = {a: set() for a in d_set.tolist()}
+    for a, b in pairs[~_extension_breaks(calc, base, pairs)].tolist():
+        adj[a].add(b)
+        adj[b].add(a)
     out = []
-    for clique in _maximal_cliques(d_set, adj):
-        members = base_masks | clique
+    for clique in _maximal_cliques(list(adj), adj):
+        members = base | clique
         sub = Subalgebra(calc, members,
                          name=f"D{calc.size}_{len(members)}")
         out.append(sub)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -212,13 +213,17 @@ def cmd_core(args):
 
 
 def _map(func, workers, *columns):
-    """func over the argument columns, in a pool of ``workers`` processes
-    when more than one is asked for and can be started."""
-    if workers > 1 and len(columns[0]) > 1:
+    """func over the argument columns, in a pool of min(workers, items,
+    CPUs) processes when that is more than one and a pool can be
+    started."""
+    if workers < 1:
+        raise RccError(f"--workers must be at least 1, not {workers}")
+    size = min(workers, len(columns[0]), os.cpu_count() or 1)
+    if size > 1:
         import concurrent.futures as cf
 
         try:
-            with cf.ProcessPoolExecutor(max_workers=workers) as pool:
+            with cf.ProcessPoolExecutor(max_workers=size) as pool:
                 return list(pool.map(func, *columns))
         except OSError as e:
             print(f"worker pool unavailable ({e}); running serially",

@@ -3,13 +3,18 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rcckit import RCC5, RCC8, Relation
+from rcckit import RCC5, RCC8, Relation, algebra
 from rcckit.algebra import (
     Subalgebra,
+    _maximal_cliques,
     bhat,
     by_name,
     closure,
@@ -126,11 +131,123 @@ def test_is_distributive_examples():
     res = is_distributive(RCC5, bhat(RCC5).members | {RCC5.parse("DR|PP")})
     assert not res.holds
     r, s, t = res.witness
+    # demo 02 prints this witness
+    assert (str(r), str(s), str(t)) == ("PO", "DR|PO", "DR|PP")
     # the witness triple really does violate one of the identities
     lhs = r.compose(s & t)
     assert not (s & t).is_empty
     assert lhs != (r.compose(s) & r.compose(t)) \
         or (s & t).compose(r) != (s.compose(r) & t.compose(r))
+
+
+def _loop_witness(calc, members):
+    """is_distributive's witness by a plain triple loop: the first (R, S,
+    T) of sorted members that breaks R.(S&T) = R.S & R.T, failing that
+    the first in (S, T, R) order that breaks (S&T).R = S.R & T.R."""
+    arr, comp = sorted(members), calc.compose_masks
+    for r in arr:
+        for s in arr:
+            for t in arr:
+                if s & t and comp(r, s & t) != comp(r, s) & comp(r, t):
+                    return r, s, t
+    for s in arr:
+        for t in arr:
+            for r in arr:
+                if s & t and comp(s & t, r) != comp(s, r) & comp(t, r):
+                    return r, s, t
+    return None
+
+
+@st.composite
+def _member_sets(draw):
+    calc = draw(st.sampled_from([RCC5, RCC8]))
+    masks = st.integers(1, calc.universal)
+    if draw(st.booleans()):
+        # mostly inside a distributive subalgebra, so that some sets pass
+        # and some fail only the second identity
+        big = d5_20() if calc is RCC5 else d8_64()
+        masks = st.one_of(st.sampled_from(big.sorted_masks()), masks)
+    members = draw(st.sets(masks, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        # conversing every member swaps the two identities
+        members = {calc.converse_mask(m) for m in members}
+    return calc, members
+
+
+@settings(max_examples=300, deadline=None)
+@given(_member_sets(), st.sampled_from([1, 7, algebra._BATCH_TRIPLES]))
+def test_is_distributive_matches_a_triple_loop(calc_members, batch):
+    calc, members = calc_members
+    with mock.patch.object(algebra, "_BATCH_TRIPLES", batch):
+        res = is_distributive(calc, members)
+    want = _loop_witness(calc, members)
+    assert res.holds == (want is None)
+    if want is not None:
+        r, s, t = res.witness
+        assert (r.mask, s.mask, t.mask) == want
+        assert not (s & t).is_empty
+        assert (r.compose(s & t) != r.compose(s) & r.compose(t)
+                or (s & t).compose(r) != s.compose(r) & t.compose(r))
+
+
+@pytest.mark.parametrize("batch", [1, algebra._BATCH_TRIPLES])
+@pytest.mark.parametrize("calc,witness", [
+    # each fails only (S&T).R = S.R & T.R, and in the RCC8 one a later
+    # R holds the first witness in (S, T, R) order
+    (RCC5, ["PO|EQ", "DR|PPi", "DR|PO|PP|EQ"]),
+    (RCC8, ["DC|NTPPi|EQ", "EC|TPP|TPPi", "DC|EC|TPPi|EQ"]),
+    # conversing every member of the RCC5 set swaps the identities
+    (RCC5, ["PO|EQ", "DR|PP", "DR|PO|PPi|EQ"]),
+], ids=["RCC5", "RCC8", "RCC5-converse"])
+def test_is_distributive_witness_order(calc, witness, batch):
+    masks = {calc.parse(name) for name in witness}
+    with mock.patch.object(algebra, "_BATCH_TRIPLES", batch):
+        res = is_distributive(calc, masks)
+    assert [str(w) for w in res.witness] == witness
+    assert tuple(w.mask for w in res.witness) == _loop_witness(calc, masks)
+
+
+@lru_cache(maxsize=None)
+def _pairwise_maximal(calc):
+    """The search checking every candidate set whole: each extension of
+    Bhat by one relation, then by each pair of the survivors."""
+    base = bhat(calc).members
+    extras = [m for m in range(1, calc.universal + 1) if m not in base]
+    d_set = [a for a in extras if is_distributive(calc, base | {a})]
+    adj = {a: set() for a in d_set}
+    for i, a in enumerate(d_set):
+        for b in d_set[i + 1:]:
+            if is_distributive(calc, base | {a, b}):
+                adj[a].add(b)
+                adj[b].add(a)
+    out = [Subalgebra(calc, base | clique,
+                      name=f"D{calc.size}_{len(base | clique)}")
+           for clique in _maximal_cliques(d_set, adj)]
+    out.sort(key=lambda s: (len(s), s.sorted_masks()))
+    return [(s.name, s.sorted_masks()) for s in out]
+
+
+@pytest.mark.parametrize("batch", [algebra._BATCH_TRIPLES, 5000])
+@pytest.mark.parametrize("calc", [RCC5, RCC8], ids=["RCC5", "RCC8"])
+def test_maximal_distributive_matches_the_pairwise_search(calc, batch):
+    with mock.patch.object(algebra, "_BATCH_TRIPLES", batch):
+        got = maximal_distributive(calc)
+    assert [(s.name, s.sorted_masks()) for s in got] \
+        == _pairwise_maximal(calc)
+
+
+def test_maximal_distributive_checks_only_its_results_whole(monkeypatch):
+    bhat(RCC8)  # derived, and checked, before counting
+    calls = []
+    real = algebra.is_distributive
+
+    def counting(calc, members):
+        calls.append(len(members))
+        return real(calc, members)
+
+    monkeypatch.setattr(algebra, "is_distributive", counting)
+    subs = maximal_distributive(RCC8)
+    assert sorted(calls) == [len(s) for s in subs] == [41, 64]
 
 
 def test_helly_examples():

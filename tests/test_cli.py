@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, JSON reports, determinism."""
 
+import concurrent.futures as cf
 import json
 
 import pytest
 
+from rcckit import cli
 from rcckit.cli import main
 from rcckit.network import dump, load, save
 from rcckit.reasoning import a_closure
@@ -233,6 +235,45 @@ def test_bench_malformed_sizes_exit_2(capsys, sizes):
     code, out, err = run(capsys, "bench", "--sizes", sizes)
     assert code == 2 and not out
     assert err.startswith(f"error: malformed --sizes {sizes!r}")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["compare", "bench"])
+def test_workers_below_one_exit_2(capsys, example1_path, command, workers):
+    argv = [example1_path] if command == "compare" else ["--sizes", "5"]
+    code, out, err = run(capsys, command, *argv, "--workers", workers)
+    assert code == 2 and not out
+    assert err == f"error: --workers must be at least 1, not {workers}\n"
+
+
+def test_map_sizes_the_pool_by_items_and_cpus(monkeypatch):
+    # a stand-in pool that records its size and starts no process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, *columns):
+            return map(func, *columns)
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._map(pow, 8, [2, 3, 4], [2, 2, 2]) == [4, 9, 16]
+    assert cli._map(pow, 3, [2] * 6, [1] * 6) == [2] * 6
+    assert cli._map(pow, 64, [2] * 6, [1] * 6) == [2] * 6
+    assert cli._map(pow, 8, [5], [2]) == [25]
+    assert cli._map(pow, 1, [2, 3], [2, 2]) == [4, 9]
+    assert sizes == [3, 3, 4]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._map(pow, 8, [2, 3], [2, 2]) == [4, 9]
+    assert sizes == [3, 3, 4]
 
 
 def test_bench_fits_only_over_distinct_sizes(capsys):
