@@ -92,7 +92,7 @@ def cmd_closure(args):
     res = reasoning.a_closure(net)
     if not res.consistent:
         _report(args, "closure", "inconsistent",
-                metrics={"updates": res.updates},
+                metrics={"updates": res.updates, "sweeps": res.sweeps},
                 extra={"input": net.digest(), "witness": list(res.witness)})
         if not args.json:
             i, k, j = res.witness
@@ -101,7 +101,7 @@ def cmd_closure(args):
         return 1
     artifacts = _write_or_print(args, network.save(res.network), args.out)
     _report(args, "closure", "consistent",
-            metrics={"updates": res.updates},
+            metrics={"updates": res.updates, "sweeps": res.sweeps},
             artifacts=artifacts, extra={"input": net.digest()})
     return 0
 

@@ -3,12 +3,15 @@
 The a-closure (algebraic closure) is the fixed point of the refinement
 rule R_ij <- (R_ik . R_kj) & R_ij.  :func:`a_closure` reaches it with one
 engine for every size: sweeps over blocks of rows that apply the rule for
-all k at once, repeated until a sweep changes nothing.  For networks over
-a tractable subclass (basic networks among them) it decides consistency;
+all k at once, repeated until a sweep changes nothing.  Asked for Q, the
+sweeps run over a universal diagonal, so the meet they take for (i, j)
+runs over the k other than i and j: in the sweep that changes nothing it
+is Algorithm 1's Q_ij, which :func:`rcckit.redundancy.core_algorithm1`
+takes from there.  For networks over a tractable subclass (basic
+networks among them) the closure decides consistency;
 ``_closure_decides`` is the one test of that, for every caller here.
 The per-block gather of every R_ij . R_jk, ``_gathers``, is one kernel:
-``_meets`` AND-reduces it for the closure and for Algorithm 1's Q_ij
-(:func:`rcckit.redundancy.core_algorithm1`), and the Simple/SimpleExt
+``_meets`` AND-reduces it for the closure, and the Simple/SimpleExt
 engine (:mod:`rcckit.baselines`) tests it directly.
 
 The backtracking oracle asks one question, through one probe, ``_narrow``:
@@ -69,13 +72,17 @@ class AClosureResult:
     entry (i, j) otherwise; an entry already empty in the input is
     reported as (i, i, j) with i < j, since no rule application emptied
     it.  ``updates`` sums, over the row sweeps, the row entries each sweep
-    changed; an already closed input reports 0.
+    changed; an already closed input reports 0.  ``sweeps`` counts the row
+    sweeps begun, the last one being the sweep that changed nothing or the
+    one that emptied an entry: an already closed input reports 1, an input
+    with an empty entry 0.
     """
 
     consistent: bool
     network: Optional[Network]
     witness: Optional[tuple[int, int, int]]
     updates: int = 0
+    sweeps: int = 0
 
 
 def _pca_lists(calc, m: list[list[int]],
@@ -153,37 +160,64 @@ def _meets(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         yield block, np.bitwise_and.reduce(gather, axis=1)
 
 
-def _close(calc, m: np.ndarray) -> tuple[Optional[tuple[int, int, int]], int]:
+def _close(calc, m: np.ndarray, q: Optional[np.ndarray] = None
+           ) -> tuple[Optional[tuple[int, int, int]], int, int]:
     """Enforce path consistency on a uint16 mask matrix in place.
 
-    Sweeps the rows in blocks, replacing each block by its meets
+    Sweeps the rows in blocks, narrowing each block to its meets
     (:func:`_meets`) and mirroring its converse into the matching columns,
-    until a sweep changes nothing.  The k = i term is row i itself (the
-    diagonal is EQ), so entries only shrink and the sweeps terminate.
-    Returns (witness, updates) as described in :class:`AClosureResult`;
-    witness is None on success.
+    until a sweep changes nothing.  Entries only shrink, so the sweeps
+    terminate.  Returns (witness, updates, sweeps) as described in
+    :class:`AClosureResult`; witness is None on success.
+
+    The k = i and k = j terms of a meet never narrow its entry: over an EQ
+    diagonal they are the entry itself, over a universal one they are
+    universal (* . r = r . * = * for every nonempty r).  Without ``q`` the
+    diagonal stays EQ, so each block's meets lie within it and are EQ on
+    its diagonal.  Given ``q``, an array shaped like m, the sweeps run over
+    a universal diagonal instead, so that the meets of row i are Q_ij, the
+    meet over every k other than i and j: each sweep writes them into q,
+    ANDs the block into them and resets the block's diagonal to universal
+    before comparing, and EQ is restored on return.  On success q holds the
+    meets of the sweep that changed nothing, Q of the closed matrix (its
+    diagonal aside).  That AND and the diagonal writes cost a closure of
+    19 variables up to a fifth of its time, so only Q asks for them.
     """
     if not m.all():
         i, j = np.argwhere(m == 0)[0].tolist()
-        return (i, i, j), 0
+        return (i, i, j), 0, 0
     conv = calc.conv_table
-    updates = 0
+    star = calc.universal
+    # diagonal cells lie n + 1 apart in m flattened, and in a block of rows
+    step = m.shape[0] + 1
+    if q is not None:
+        m.flat[::step] = star
+    witness = None
+    updates = sweeps = 0
     changed = True
-    while changed:
+    while changed and witness is None:
         changed = False
+        sweeps += 1
         for block, new in _meets(calc, m):
             rows = m[block]
+            if q is not None:
+                q[block] = new
+                new &= rows
+                new.reshape(-1)[block.start::step] = star
             diff = int(np.count_nonzero(new != rows))
             if not diff:
                 continue
             if not new.all():
                 r, j = np.argwhere(new == 0)[0].tolist()
-                return _witness(calc, m, block.start + r, j), updates
+                witness = _witness(calc, m, block.start + r, j)
+                break
             updates += diff
             changed = True
             rows[:] = new
             m[:, block] = conv[new].T
-    return None, updates
+    if q is not None:
+        m.flat[::step] = calc.identity
+    return witness, updates, sweeps
 
 
 def _witness(calc, m: np.ndarray, i: int, j: int) -> tuple[int, int, int]:
@@ -207,12 +241,12 @@ def a_closure(net: Network) -> AClosureResult:
     is independent of the processing order.
     """
     m = net.matrix.copy()
-    witness, updates = _close(net.calculus, m)
+    witness, updates, sweeps = _close(net.calculus, m)
     if witness is not None:
-        return AClosureResult(False, None, witness, updates)
+        return AClosureResult(False, None, witness, updates, sweeps)
     out = Network(net.calculus, net.n, net.labels)
     out.matrix = m
-    return AClosureResult(True, out, None, updates)
+    return AClosureResult(True, out, None, updates, sweeps)
 
 
 def _outside(net: Network, sub: Subalgebra) -> set[int]:

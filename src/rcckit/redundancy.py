@@ -12,9 +12,9 @@ prime subnetwork, equal to its core, and it is computed in cubic time by
 :func:`core_algorithm1`:
 take the a-closure once, then an entry (i, j) is redundant exactly when
 the intersection Q_ij of S_ik . S_kj over all other k reproduces S_ij.
-Every Q_ij comes from one more pass of the a-closure's own meet kernel
-(``reasoning._meets``) over the closed matrix with its diagonal set to
-universal: * . r = r . * = * for every nonempty r, so the k = i and
+Every Q_ij comes from the a-closure's own last sweep, the one that
+changes nothing (``reasoning._close``): it meets over a universal
+diagonal, and * . r = r . * = * for every nonempty r, so the k = i and
 k = j terms drop out of the meet.
 
 :func:`prime_iterative` is the general fold that removes redundant
@@ -42,7 +42,7 @@ from .network import Network, remove_constraint
 from .reasoning import (
     DEFAULT_GUARD,
     _basic_pins,
-    _meets,
+    _close,
     _outside,
     _require_members,
     _solvable,
@@ -195,22 +195,19 @@ def core_algorithm1(net: Network,
                 "pass one explicitly to override")
     else:
         _require_members(net, subalgebra)
-    res = a_closure(net)
-    if not res.consistent:
-        raise InconsistentNetworkError(_NEEDS_CONSISTENT)
     calc = net.calculus
     n = net.n
-    closed = res.network.matrix
+    closed = net.matrix.copy()
+    q = np.empty_like(closed)
+    if _close(calc, closed, q)[0] is not None:
+        raise InconsistentNetworkError(_NEEDS_CONSISTENT)
     upper = np.triu(np.ones((n, n), dtype=bool), k=1)
     equal = _pairs(upper & (closed == calc.identity))
     if equal:
         raise NotAllDifferentError(
             f"entailed equalities at {sorted(equal)}; amalgamate them first")
-    # with a universal diagonal the k = i and k = j terms are * and drop out
+    # q is Q of the closed matrix: the meets of the sweep that changed nothing
     star = calc.universal
-    q = closed.copy()
-    np.fill_diagonal(q, star)
-    q = np.concatenate([block for _, block in _meets(calc, q)])
     redundant = upper & (q == closed)
     out = net.copy()
     out.matrix[redundant | redundant.T] = star

@@ -66,6 +66,17 @@ def test_closure_json_reports_updates(capsys, example1_path):
     assert json.loads(out)["metrics"]["updates"] > 0
 
 
+def test_closure_json_reports_sweeps(capsys, example1_path, tmp_path):
+    closed = tmp_path / "closed.net"
+    code, out, _ = run(capsys, "closure", example1_path, "--json",
+                       "-o", str(closed))
+    assert code == 0
+    assert json.loads(out)["metrics"]["sweeps"] >= 2
+    code, out, _ = run(capsys, "closure", str(closed), "--json")
+    assert code == 0
+    assert json.loads(out)["metrics"] == {"updates": 0, "sweeps": 1}
+
+
 def test_closure_inconsistent_reports_witness(capsys, bad_path):
     code, out, _ = run(capsys, "closure", bad_path, "--json")
     assert code == 1

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util_instances as gen
-from rcckit import RCC5, RCC8, Network, Relation, ct_path
+from rcckit import RCC5, RCC8, Network, Relation, ct_path, reasoning
 from rcckit.algebra import bhat, d5_20, d8_41, h5
 from rcckit.errors import (
     GuardExceededError,
@@ -20,7 +20,9 @@ from rcckit.errors import (
 from rcckit.network import refines, remove_constraint, restrict
 from rcckit.reasoning import (
     _close,
+    _meets,
     _pca_lists,
+    _witness,
     a_closure,
     all_different,
     check_minimal,
@@ -129,40 +131,73 @@ def test_close_matches_the_queue_reference():
             ref_witness = _pca_lists(net.calculus, ref,
                                      list(net.constraint_pairs()))
             m = net.matrix.copy()
-            witness, updates = _close(net.calculus, m)
+            witness, updates, sweeps = _close(net.calculus, m)
             assert (witness is None) == (ref_witness is None), n
             verdicts.add(witness is None)
             if witness is None:
                 assert np.array_equal(m, np.array(ref, dtype=np.uint16)), n
                 assert (updates > 0) == (not np.array_equal(m, net.matrix))
-                assert _close(net.calculus, m) == (None, 0)
+                assert (sweeps > 1) == (updates > 0)
+                assert _close(net.calculus, m) == (None, 0, 1)
             else:
                 assert len(set(witness)) == 3, (n, witness)
     assert verdicts == {True, False}
 
 
-@st.composite
-def _networks(draw):
-    """A 3-12-variable RCC5 or RCC8 network whose entries are universal,
-    basic or any nonempty relation; half of them contain every basic of a
-    random scenario, so large consistent networks occur too."""
-    rcc5 = draw(st.booleans())
-    n = draw(st.integers(3, 12))
-    scenario = draw(st.booleans())
-    if scenario:
-        net = gen.random_scenario(n, draw(st.integers(0, 999)), rcc5=rcc5)
-    else:
-        net = Network(RCC5 if rcc5 else RCC8, n)
-    star = net.calculus.universal
-    entry = (st.just(star) | st.integers(1, star)
-             | st.sampled_from([1 << b for b in range(net.calculus.size)]))
-    for i, j in itertools.combinations(range(n), 2):
-        net.set_mask(i, j, draw(entry) | (net.mask(i, j) if scenario else 0))
-    return net
+def _eq_diagonal_close(calc, m):
+    """Reference sweep over an EQ diagonal: the k = i term of each meet is
+    the row itself, so the meets replace the block as they stand.  Returns
+    (witness, updates, sweeps) as _close does."""
+    if not m.all():
+        i, j = np.argwhere(m == 0)[0].tolist()
+        return (i, i, j), 0, 0
+    updates = sweeps = 0
+    changed = True
+    while changed:
+        changed = False
+        sweeps += 1
+        for block, new in _meets(calc, m):
+            rows = m[block]
+            diff = int(np.count_nonzero(new != rows))
+            if not diff:
+                continue
+            if not new.all():
+                r, j = np.argwhere(new == 0)[0].tolist()
+                return _witness(calc, m, block.start + r, j), updates, sweeps
+            updates += diff
+            changed = True
+            rows[:] = new
+            m[:, block] = calc.conv_table[new].T
+    return None, updates, sweeps
+
+
+@pytest.mark.parametrize("cells", [2 ** 15, 2 ** 10],
+                         ids=["default-blocks", "small-blocks"])
+def test_close_matches_the_eq_diagonal_sweep(monkeypatch, cells):
+    # below 2**15 cells the blocks of the larger networks hold several rows
+    monkeypatch.setattr(reasoning, "_BLOCK_CELLS", cells)
+    paths = set()
+    for rcc5, n in itertools.product((True, False), (2, 3, 5, 8, 17, 30, 80)):
+        empty = Network(RCC5 if rcc5 else RCC8, n)
+        empty.set_mask(n - 1, 0, 0)
+        for net in (*_closure_inputs(n, 300 + n, rcc5), empty):
+            calc = net.calculus
+            ref = net.matrix.copy()
+            expected = _eq_diagonal_close(calc, ref)
+            # with q the sweeps run over a universal diagonal
+            for q in (None, np.empty_like(ref)):
+                m = net.matrix.copy()
+                assert _close(calc, m, q) == expected, n
+                assert np.array_equal(m, ref), n
+                assert (np.diagonal(m) == calc.identity).all(), n
+            witness, _, sweeps = expected
+            paths.add("closed" if witness is None
+                      else "empty" if sweeps == 0 else "witness")
+    assert paths == {"closed", "witness", "empty"}
 
 
 @settings(max_examples=100, deadline=None)
-@given(_networks())
+@given(gen.networks())
 def test_a_closure_refines_its_input(net):
     res = a_closure(net)
     if res.consistent:
@@ -171,7 +206,7 @@ def test_a_closure_refines_its_input(net):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_networks())
+@given(gen.networks())
 def test_a_closure_is_idempotent(net):
     res = a_closure(net)
     if res.consistent:
@@ -181,7 +216,7 @@ def test_a_closure_is_idempotent(net):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_networks())
+@given(gen.networks())
 def test_a_closure_matches_the_queue_propagator(net):
     ref = net.matrix.astype(int).tolist()
     witness = _pca_lists(net.calculus, ref, list(net.constraint_pairs()))

@@ -6,7 +6,10 @@ edge to the smallest subalgebra member containing the scenario basic plus
 a few random extras.  Consistency survives weakening by construction.
 """
 
+import itertools
 import random
+
+from hypothesis import strategies as st
 
 from rcckit import RCC5, RCC8
 from rcckit.algebra import Subalgebra
@@ -23,6 +26,26 @@ def random_scenario(n: int, seed: int, rcc5: bool = False) -> Network:
     regs = generate_regions(n, seed, rng.choice(_PROFILES))
     sc = scenario_from_regions(regs)
     return to_rcc5(sc) if rcc5 else sc
+
+
+@st.composite
+def networks(draw):
+    """A 3-12-variable RCC5 or RCC8 network whose entries are universal,
+    basic or any nonempty relation; half of them contain every basic of a
+    random scenario, so large consistent networks occur too."""
+    rcc5 = draw(st.booleans())
+    n = draw(st.integers(3, 12))
+    scenario = draw(st.booleans())
+    if scenario:
+        net = random_scenario(n, draw(st.integers(0, 999)), rcc5=rcc5)
+    else:
+        net = Network(RCC5 if rcc5 else RCC8, n)
+    star = net.calculus.universal
+    entry = (st.just(star) | st.integers(1, star)
+             | st.sampled_from([1 << b for b in range(net.calculus.size)]))
+    for i, j in itertools.combinations(range(n), 2):
+        net.set_mask(i, j, draw(entry) | (net.mask(i, j) if scenario else 0))
+    return net
 
 
 def all_different_instances(sub: Subalgebra, count: int, seed: int,
