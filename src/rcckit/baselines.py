@@ -9,8 +9,8 @@ and its kept edges contain the prime subnetwork's.
 
 On RCC5 and RCC8, r . * = * . r = * for every nonempty r, so a removed
 constraint can justify a removal only beside an empty entry.  One engine
-with SimpleExt's rule therefore serves both :func:`simple` and
-:func:`simple_ext`.  It changes Simple's output only on inputs with an
+with SimpleExt's rule therefore serves both, and the comparison reports
+SimpleExt alone.  It changes Simple's output only on inputs with an
 empty entry; such an input is inconsistent, and so is the output.
 
 The engine tests the a-closure's gather, comp[m_ij, m_jk] within m_ik,
@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import time
+import warnings
 from dataclasses import astuple, dataclass, fields
 from typing import Sequence
 
@@ -81,9 +82,11 @@ def _sweep(net: Network) -> tuple[Network, int]:
 
 
 def simple(net: Network) -> Network:
-    """Greedy one-pass triple simplification (immediate removal), run as
-    :func:`simple_ext`; the two differ only on inputs with an empty
-    entry (see the module docstring)."""
+    """Deprecated alias of :func:`simple_ext`: greedy immediate removal
+    differs from it only on inputs with an empty entry (see the module
+    docstring)."""
+    warnings.warn("baselines.simple is deprecated; it returns "
+                  "simple_ext's network", DeprecationWarning, stacklevel=2)
     return _sweep(net)[0]
 
 
@@ -94,26 +97,24 @@ def simple_ext(net: Network) -> Network:
 
 @dataclass
 class ComparisonRow:
-    """Per-instance results of prime vs SimpleExt vs Simple.
+    """Per-instance results of prime vs SimpleExt.
 
     ``*_kept`` counts the constraints a method keeps.  ``*_checks``
     counts its triple conditions: ``RedundancyReport.checks`` for
     Algorithm 1 (0 for the ``iterative`` fold), and n - 2 per step (i, j)
     the baseline sweep does not skip.  ``*_time`` is wall-clock seconds.
-    Both baselines' columns come from one engine run, so they are equal.
+    Simple has no columns: it returns SimpleExt's network (see the module
+    docstring).
     """
 
     n: int
     constraint_total: int
     prime_kept: int
     simpleext_kept: int
-    simple_kept: int
     prime_checks: int
     simpleext_checks: int
-    simple_checks: int
     prime_time: float
     simpleext_time: float
-    simple_time: float
     prime_method: str
 
 
@@ -121,8 +122,8 @@ def compare(nets: Sequence[Network],
             guard: int = DEFAULT_GUARD) -> tuple[list[ComparisonRow], str]:
     """Run the prime subnetwork and the baseline engine on each network.
 
-    Validates the nesting invariant prime <= SimpleExt = Simple (as edge
-    sets) on every instance and returns the rows plus their CSV rendering.
+    Validates the nesting invariant prime <= SimpleExt (as edge sets) on
+    every instance and returns the rows plus their CSV rendering.
     The prime column comes from :func:`rcckit.redundancy.prime`, so it
     picks the engine and rejects inconsistent inputs the same way.
     """
@@ -143,13 +144,10 @@ def compare(nets: Sequence[Network],
             constraint_total=net.constraint_count(),
             prime_kept=len(prime_edges),
             simpleext_kept=len(base_edges),
-            simple_kept=len(base_edges),
             prime_checks=report.checks,
             simpleext_checks=checks,
-            simple_checks=checks,
             prime_time=t1 - t0,
             simpleext_time=t2 - t1,
-            simple_time=t2 - t1,
             prime_method=report.method,
         ))
     return rows, rows_to_csv(rows)

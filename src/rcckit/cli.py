@@ -21,7 +21,7 @@ from . import algebra, baselines, geometry, network, reasoning, redundancy
 from .calculus import RCC5, RCC8, get_calculus, verify_relation_algebra
 from .errors import RccError
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _report(args, command, outcome, metrics=None, artifacts=None, extra=None):
@@ -240,7 +240,7 @@ def cmd_compare(args):
     rows = _map(_compare_one, args.workers, args.nets,
                 [args.guard] * len(args.nets))
     if not args.json:
-        for name in ("prime", "simpleext", "simple"):
+        for name in ("prime", "simpleext"):
             print(f"{name}: kept {[getattr(r, f'{name}_kept') for r in rows]}")
     artifacts = _write_or_print(args, baselines.rows_to_csv(rows), args.out)
     _report(args, "compare", "ok",
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out")
 
     p = add("compare", cmd_compare, guard, workers,
-            help="prime vs SimpleExt vs Simple")
+            help="prime vs SimpleExt")
     p.add_argument("nets", nargs="+")
     p.add_argument("--out")
 

@@ -38,8 +38,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .calculus import RCC8, Relation
-from .errors import GeometryError, InconsistentNetworkError
-from .network import Network
+from .errors import (CalculusMismatchError, GeometryError,
+                     InconsistentNetworkError)
+from .network import Network, _unsavable
 
 __all__ = [
     "Region",
@@ -206,6 +207,9 @@ class Region:
 
     def __init__(self, id: str, ring: Sequence[Sequence[int]]):
         self.id = str(id)
+        if _unsavable([self.id]):
+            raise GeometryError(f"region id {id!r} is empty, holds "
+                                "whitespace or '#', or is not UTF-8")
         if not all(len(p) == 2 and all(isinstance(v, numbers.Integral)
                                        and not isinstance(v, bool) for v in p)
                    for p in ring):
@@ -414,10 +418,14 @@ def hybrid_reconstitute(prime: Network, regions: Sequence[Region]) -> Network:
 
     Universal edges whose regions have disjoint bounding boxes are seeded
     with DC, then the a-closure completes the rest.  An inconsistency
-    signals a corrupted prime network (or mismatched geometry).
+    signals a corrupted prime network (or mismatched geometry).  The
+    network must be over RCC8, the calculus the geometry decides.
     """
     from .reasoning import a_closure
 
+    if prime.calculus is not RCC8:
+        raise CalculusMismatchError(
+            f"reconstitution needs an RCC8 network, not {prime.calculus.name}")
     by_id = {r.id: r for r in regions}
     if set(prime.labels) != set(by_id) or len(by_id) != len(regions):
         raise GeometryError("region ids do not match the network labels")

@@ -15,7 +15,9 @@ File format (line oriented, ``#`` starts a comment)::
     2 3 *
 
 Only pairs with i<j are written by :func:`save`; the loader mirrors
-converses and fills gaps with the universal relation.
+converses and fills gaps with the universal relation.  A label is a
+nonempty UTF-8 string without whitespace or ``#``, so that it survives
+the ``labels`` line, of which a file has at most one.
 
 Files and JSON documents may declare at most ``MAX_VARS`` variables.
 """
@@ -71,6 +73,11 @@ class Network:
                     f"{len(labels)} labels for {n} variables")
             if len(set(labels)) != n:
                 raise NetworkShapeError("duplicate variable labels")
+            if _unsavable(labels):
+                bad = next(x for x in labels if _unsavable([x]))
+                raise NetworkShapeError(
+                    f"variable label {bad!r} is not a nonempty UTF-8 "
+                    "string without whitespace or '#'")
         self.calculus = calculus
         self.n = n
         self.labels = labels
@@ -117,7 +124,9 @@ class Network:
     # -- structure -------------------------------------------------------
 
     def copy(self) -> "Network":
-        out = Network(self.calculus, self.n, self.labels)
+        # the labels were checked when they came in
+        out = Network.__new__(Network)
+        out.calculus, out.n, out.labels = self.calculus, self.n, self.labels
         out.matrix = self.matrix.copy()
         return out
 
@@ -179,6 +188,18 @@ class Network:
                 f"{self.constraint_count()} constraints)")
 
 
+def _unsavable(labels: Sequence[str]) -> bool:
+    """Whether a network file cannot carry a label: one is not a string,
+    is empty, holds whitespace or the comment mark ``#`` (which
+    :func:`loads` would misread), or has no UTF-8 form."""
+    try:
+        text = " ".join(labels)
+        text.encode()
+    except (TypeError, UnicodeEncodeError):
+        return True
+    return "#" in text or text.split() != list(labels)
+
+
 def loads(text: str) -> Network:
     """Parse the network file format; see the module docstring."""
     calc = None
@@ -205,6 +226,8 @@ def loads(text: str) -> Network:
             n = _var_count(parts[1], lineno)
             continue
         if parts[0] == "labels":
+            if labels is not None:
+                raise NetworkFormatError("expected one 'labels' line", lineno)
             labels = parts[1:]
             continue
         if calc is None or n is None:
@@ -311,7 +334,7 @@ def from_json(doc: dict) -> Network:
     try:
         calc = get_calculus(doc["calculus"])
         labels = doc.get("labels")
-        if labels is not None and not all(isinstance(x, str) for x in labels):
+        if labels is not None and not isinstance(labels, list):
             raise TypeError(f"labels {labels!r}")
         net = Network(calc, _var_count(doc["vars"]), labels)
         given: dict[tuple[int, int], tuple[int, int]] = {}

@@ -228,10 +228,13 @@ def test_criterion_6_baseline_nesting():
     rows, _ = compare(nets)  # compare() raises if nesting ever fails
     checked_equiv = 0
     for row, net in zip(rows, nets):
-        assert row.prime_kept <= row.simpleext_kept <= row.simple_kept
+        with pytest.warns(DeprecationWarning):
+            simple_net = simple(net)
+        assert row.prime_kept <= row.simpleext_kept \
+            <= simple_net.constraint_count()
         if net.n <= 6:
             checked_equiv += 1
-            assert equivalent(net, simple(net))
+            assert equivalent(net, simple_net)
             assert equivalent(net, simple_ext(net))
     _done(6, f"nesting on {len(rows)} instances; {checked_equiv} "
              f"baseline outputs oracle-equivalent to their inputs")

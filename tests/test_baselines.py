@@ -1,6 +1,12 @@
-"""Simple and SimpleExt baselines and the comparison harness."""
+"""Simple and SimpleExt baselines and the comparison harness.
 
+``simple`` is deprecated, so every call of it here sits inside
+``pytest.warns``."""
+
+import csv
+import io
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +21,12 @@ from rcckit.redundancy import (core_algorithm1, equivalent, prime,
                                weaken_scenario)
 
 
+# compare's CSV header, and the keys of compare's and bench's --json rows
+COLUMNS = ["n", "constraint_total", "prime_kept", "simpleext_kept",
+           "prime_checks", "simpleext_checks", "prime_time",
+           "simpleext_time", "prime_method"]
+
+
 def nested_chain():
     net = Network(RCC8, 3)
     net[0, 1] = "NTPP"
@@ -24,7 +36,8 @@ def nested_chain():
 
 
 def test_simple_removes_implied_chain_edge():
-    out = simple(nested_chain())
+    with pytest.warns(DeprecationWarning):
+        out = simple(nested_chain())
     assert set(out.constraint_pairs()) == {(0, 1), (1, 2)}
 
 
@@ -38,7 +51,8 @@ def test_unfireable_network_unchanged():
     net[0, 1] = "PO"
     net[1, 2] = "PO"
     net[0, 2] = "EC"
-    assert simple(net) == net
+    with pytest.warns(DeprecationWarning):
+        assert simple(net) == net
     assert simple_ext(net) == net
 
 
@@ -46,7 +60,8 @@ def test_baselines_keep_at_least_the_prime_edges(example1):
     from rcckit.algebra import h5
 
     prime = core_algorithm1(example1, h5()).network
-    s = simple(example1)
+    with pytest.warns(DeprecationWarning):
+        s = simple(example1)
     ext = simple_ext(example1)
     assert set(prime.constraint_pairs()) <= set(ext.constraint_pairs())
     assert set(ext.constraint_pairs()) <= set(s.constraint_pairs())
@@ -55,20 +70,31 @@ def test_baselines_keep_at_least_the_prime_edges(example1):
 def test_baselines_preserve_equivalence_small():
     for k, net in enumerate(gen.all_different_instances(
             d8_41(), 10, seed=61, n_lo=4, n_hi=6)):
-        assert equivalent(net, simple(net))
+        with pytest.warns(DeprecationWarning):
+            assert equivalent(net, simple(net))
         assert equivalent(net, simple_ext(net))
 
 
 def test_removal_is_order_sensitive_but_deterministic():
     net = nested_chain()
-    assert simple(net) == simple(net)
+    with pytest.warns(DeprecationWarning):
+        assert simple(net) == simple(net)
     assert simple_ext(net) == simple_ext(net)
+
+
+def test_simple_is_a_deprecated_alias_of_simple_ext(example1):
+    with pytest.warns(DeprecationWarning) as caught:
+        out = simple(example1)
+    assert len(caught) == 1
+    assert caught[0].filename == __file__
+    assert out == simple_ext(example1)
 
 
 def test_inputs_are_not_mutated():
     net = nested_chain()
     before = net.matrix.copy()
-    simple(net)
+    with pytest.warns(DeprecationWarning):
+        simple(net)
     simple_ext(net)
     assert (net.matrix == before).all()
 
@@ -79,30 +105,32 @@ def test_compare_rows_and_nesting():
     rows, csv_text = compare(nets)
     assert len(rows) == len(nets)
     header = csv_text.splitlines()[0].split(",")
-    from dataclasses import fields
-
-    assert header == [f.name for f in fields(ComparisonRow)]
+    assert header == [f.name for f in fields(ComparisonRow)] == COLUMNS
     for row, net in zip(rows, nets):
-        assert row.prime_kept <= row.simpleext_kept <= row.simple_kept
+        with pytest.warns(DeprecationWarning):
+            simple_kept = simple(net).constraint_count()
+        assert row.prime_kept <= row.simpleext_kept <= simple_kept
         assert row.constraint_total == net.constraint_count()
         assert row.prime_method == "algorithm1"
-        assert row.prime_checks >= 0 and row.simple_checks > 0
+        assert row.prime_checks >= 0 and row.simpleext_checks > 0
 
 
 def test_compare_single_scenario_keeps_equivalent_network():
     sc = gen.random_scenario(5, 83)
     rows, _ = compare([sc])
-    assert rows[0].prime_kept <= rows[0].simple_kept
+    with pytest.warns(DeprecationWarning):
+        simple_net = simple(sc)
+    assert rows[0].prime_kept <= simple_net.constraint_count()
     prime = core_algorithm1(sc).network
     assert equivalent(sc, prime)
-    assert equivalent(sc, simple(sc))
+    assert equivalent(sc, simple_net)
 
 
 def test_compare_empty_batch():
     rows, csv_text = compare([])
     assert rows == []
     lines = csv_text.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("n,constraint_total")
+    assert lines == [",".join(COLUMNS)]
 
 
 def test_compare_falls_back_to_iterative(example1):
@@ -125,9 +153,13 @@ def test_csv_is_deterministic():
     _, a = compare(nets)
     _, b = compare(nets)
     # timing columns differ run to run; the structural columns must not
-    stable = [",".join(line.split(",")[:8]) for line in a.splitlines()]
-    stable_b = [",".join(line.split(",")[:8]) for line in b.splitlines()]
-    assert stable == stable_b
+    structural = [c for c in COLUMNS if not c.endswith("_time")]
+
+    def stable(text):
+        return [{c: row[c] for c in structural}
+                for row in csv.DictReader(io.StringIO(text))]
+
+    assert stable(a) == stable(b) and len(stable(a)) == len(nets)
 
 
 def _reference_simple(net):
@@ -222,7 +254,8 @@ def test_one_engine_matches_both_loops():
         out, checks = _sweep(net)
         ref_ext, ext_checks = _reference_simple_ext(net)
         assert out == ref_ext and checks == ext_checks
-        assert simple_ext(net) == out and simple(net) == out
+        with pytest.warns(DeprecationWarning):
+            assert simple_ext(net) == out and simple(net) == out
         if (net.matrix == 0).any():
             with_empty += 1
             continue

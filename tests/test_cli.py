@@ -4,6 +4,7 @@ import concurrent.futures as cf
 import json
 
 import pytest
+from test_baselines import COLUMNS
 
 from rcckit import cli
 from rcckit.cli import main
@@ -82,7 +83,7 @@ def test_closure_inconsistent_reports_witness(capsys, bad_path):
     assert code == 1
     doc = json.loads(out)
     assert doc["outcome"] == "inconsistent" and len(doc["witness"]) == 3
-    assert doc["schema"] == 1
+    assert doc["schema"] == cli.SCHEMA == 2
 
 
 def test_solve_and_entails(capsys, example1_path, bad_path):
@@ -209,6 +210,33 @@ def test_geometry_pipeline_round_trip(capsys, tmp_path):
     assert load(full) == load(net)
 
 
+def test_reconstitute_rejects_a_non_rcc8_network(capsys, tmp_path):
+    regs = tmp_path / "regs.json"
+    assert run(capsys, "gen-regions", "-n", "4", "--seed", "3",
+               "-o", str(regs))[0] == 0
+    ids = [r["id"] for r in json.loads(regs.read_text())["regions"]]
+    net = tmp_path / "p5.net"
+    net.write_text(f"calculus RCC5\nvars 4\nlabels {' '.join(ids)}\n"
+                   "1 2 DR\n")
+    code, out, err = run(capsys, "reconstitute", str(net), str(regs))
+    assert code == 2 and not out
+    assert err == "error: reconstitution needs an RCC8 network, not RCC5\n"
+
+
+@pytest.mark.parametrize("ids", [["a b", "#"], ["a b", "c", "d#e"],
+                                 ["", "c"], ["a\tb", "c"], ["\ud800", "c"]])
+def test_geom2net_rejects_ids_a_network_file_cannot_carry(capsys, tmp_path,
+                                                          ids):
+    regs = tmp_path / "regs.json"
+    regs.write_text(json.dumps({"regions": [
+        {"id": rid, "ring": [[4 * k, 0], [4 * k + 2, 0], [4 * k, 2]]}
+        for k, rid in enumerate(ids)]}))
+    out_path = tmp_path / "net.txt"
+    code, out, err = run(capsys, "geom2net", str(regs), "-o", str(out_path))
+    assert code == 2 and not out and not out_path.exists()
+    assert err.startswith("error: region id ")
+
+
 def test_gen_regions_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "gen-regions", "-n", "6", "--seed", "9", "-o", str(a))
@@ -223,11 +251,16 @@ def test_compare_csv(capsys, example1_path, tmp_path):
     assert code == 0
     lines = out_path.read_text().splitlines()
     assert len(lines) == 3
-    assert lines[0].startswith("n,constraint_total,prime_kept")
+    assert lines[0] == ",".join(COLUMNS)
     code, out, _ = run(capsys, "compare", example1_path)
     assert code == 0
-    assert out.splitlines()[:3] == ["prime: kept [5]", "simpleext: kept [6]",
-                                    "simple: kept [6]"]
+    assert out.splitlines()[:2] == ["prime: kept [5]", "simpleext: kept [6]"]
+    assert "simple:" not in out
+    code, out, _ = run(capsys, "compare", example1_path, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == 2
+    assert [sorted(row) for row in doc["rows"]] == [sorted(COLUMNS)]
 
 
 def test_bench_small(capsys, tmp_path):
@@ -236,9 +269,11 @@ def test_bench_small(capsys, tmp_path):
                        "--out", str(out_path), "--json")
     assert code == 0
     doc = json.loads(out)
+    assert doc["schema"] == 2
     assert doc["metrics"]["instances"] == 2
     assert "time_loglog_slope" in doc["metrics"]
-    assert out_path.exists()
+    assert [sorted(row) for row in doc["rows"]] == [sorted(COLUMNS)] * 2
+    assert out_path.read_text().splitlines()[0] == ",".join(COLUMNS)
 
 
 @pytest.mark.parametrize("sizes", ["a", "8,x", "1.5"])

@@ -227,12 +227,15 @@ def test_regions_from_json_raises_only_rcc_errors(text):
 @st.composite
 def _any_networks(draw):
     """A 2-12-variable RCC5 or RCC8 network with arbitrary entries, empty
-    and universal ones included, and sometimes its own labels."""
+    and universal ones included, and sometimes its own labels: any
+    nonempty text without whitespace or '#' is a valid label."""
     calc = draw(st.sampled_from([RCC5, RCC8]))
     n = draw(st.integers(2, 12))
-    labels = draw(st.none() | st.lists(
-        st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True),
-        min_size=n, max_size=n, unique=True))
+    label = (st.from_regex(r"[a-z][a-z0-9_]{0,4}", fullmatch=True)
+             | st.text(min_size=1, max_size=5).filter(
+                 lambda s: "#" not in s and not any(c.isspace() for c in s)))
+    labels = draw(st.none() | st.lists(label, min_size=n, max_size=n,
+                                       unique=True))
     net = Network(calc, n, labels)
     entry = st.sampled_from([0, calc.universal]) | st.integers(0, calc.universal)
     for i in range(n):
@@ -391,6 +394,36 @@ def test_labels_must_be_unique():
         Network(RCC5, 2, ["x", "x"])
     with pytest.raises(NetworkShapeError):
         Network(RCC5, 2, ["x"])
+
+
+@pytest.mark.parametrize("label", ["", "a b", "a\tb", "#", "d#e", "x\n",
+                                   "\ud800", 1])
+def test_labels_must_survive_save_and_loads(label):
+    with pytest.raises(NetworkShapeError):
+        Network(RCC5, 2, ["ok", label])
+    with pytest.raises(RccError):
+        from_json({"calculus": "RCC5", "vars": 2, "labels": ["ok", label]})
+
+
+def test_copy_keeps_the_labels_and_owns_its_matrix():
+    net = Network(RCC5, 2, ["a", "b"])
+    twin = net.copy()
+    assert twin == net
+    twin[0, 1] = "PP"
+    assert twin.labels == ("a", "b") and net.mask(0, 1) == RCC5.universal
+
+
+def test_a_second_labels_line_is_rejected():
+    with pytest.raises(NetworkFormatError) as err:
+        loads("calculus RCC5\nvars 2\nlabels a b\nlabels c d\n")
+    assert err.value.line == 4
+
+
+def test_from_json_labels_must_be_a_list():
+    with pytest.raises(NetworkFormatError):
+        from_json({"calculus": "RCC8", "vars": 2, "labels": "ab"})
+    net = from_json({"calculus": "RCC8", "vars": 2, "labels": ["a", "b"]})
+    assert net.labels == ("a", "b")
 
 
 def test_equality_includes_labels():
