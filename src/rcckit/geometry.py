@@ -206,6 +206,8 @@ class Region:
     """A simple polygon with an id, integer vertices, positive area."""
 
     def __init__(self, id: str, ring: Sequence[Sequence[int]]):
+        if not isinstance(id, str):
+            raise GeometryError(f"region id {id!r} is not a string")
         self.id = str(id)
         if _unsavable([self.id]):
             raise GeometryError(f"region id {id!r} is empty, holds "

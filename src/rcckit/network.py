@@ -86,13 +86,21 @@ class Network:
 
     # -- entry access ----------------------------------------------------
 
+    def _check_pair(self, i: int, j: int) -> None:
+        # numpy would wrap a negative index round to the far end
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise NetworkShapeError(
+                f"variable pair ({i}, {j}) out of range 0..{self.n - 1}")
+
     def mask(self, i: int, j: int) -> int:
+        self._check_pair(i, j)
         return int(self.matrix[i, j])
 
     def entry(self, i: int, j: int) -> Relation:
         return Relation(self.calculus, self.mask(i, j))
 
     def set_mask(self, i: int, j: int, mask: int) -> None:
+        self._check_pair(i, j)
         if i == j:
             if mask != self.calculus.identity:
                 raise NetworkShapeError("diagonal entries must be EQ")

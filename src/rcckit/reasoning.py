@@ -16,12 +16,16 @@ engine (:mod:`rcckit.baselines`) tests it directly.
 
 The backtracking oracle asks one question, through one probe, ``_narrow``:
 does the network keep a solution once some entries are narrowed?  The
-network is closed once, into a list matrix, by the oracle's own pair-queue
-propagator ``_pca_lists``; each probe copies that matrix, intersects its
-pins and re-closes from the pinned pairs alone, and the search branches
-through the same probe.  The oracle never calls :func:`a_closure`, so it
-checks Algorithm 1 independently.  Searches are guarded by a size limit,
-because scenario enumeration is exponential.
+network is closed once, into a list matrix, by ``_closed``: one pass over
+every triangle i < j < k applies its three refinements in place
+(``_triangles``), and the oracle's own pair-queue propagator
+``_pca_lists`` then re-closes from the pairs that pass changed.  Each
+probe copies that matrix, intersects its pins and re-closes from the
+pinned pairs alone, and the search branches through the same probe,
+carrying down the pairs still non-basic so that no node rescans the whole
+matrix.  The oracle never calls :func:`a_closure`, so it checks
+Algorithm 1 independently.  Searches are guarded by a size limit, because
+scenario enumeration is exponential.
 """
 
 from __future__ import annotations
@@ -90,8 +94,11 @@ def _pca_lists(calc, m: list[list[int]],
     """The oracle's propagator: path consistency on a list matrix in place.
 
     ``queue`` holds the pairs (i, j) narrowed since the matrix was last
-    path-consistent; seeded with every non-universal pair, it closes a
-    matrix from scratch.  Returns the witness, or None on success.
+    path-consistent: the pins of a probe, or the pairs that the triangle
+    pass of a from-scratch closure changed (:func:`_triangles`).  Seeded
+    with every non-universal pair it closes a matrix from scratch too,
+    but pops several times as many pairs as that pass leaves changed.
+    Returns the witness, or None on success.
     """
     comp = calc._comp_list
     conv = calc._conv_list
@@ -249,18 +256,26 @@ def a_closure(net: Network) -> AClosureResult:
     return AClosureResult(True, out, None, updates, sweeps)
 
 
+def _entry_masks(net: Network) -> set[int]:
+    """The distinct entry masks of the network, the diagonal's among them."""
+    return set(np.flatnonzero(np.bincount(net.matrix.ravel())).tolist())
+
+
+def _first_holding(net: Network, subs) -> Optional[Subalgebra]:
+    """The first of ``subs`` that holds every entry of the network."""
+    masks = _entry_masks(net)
+    return next((sub for sub in subs if masks <= sub.members), None)
+
+
 def _outside(net: Network, sub: Subalgebra) -> set[int]:
     """The entry masks of the network that are not members of ``sub``."""
-    present = np.flatnonzero(np.bincount(net.matrix.ravel())).tolist()
-    return set(present) - sub.members
+    return _entry_masks(net) - sub.members
 
 
 def detect_tractable(net: Network) -> Optional[Subalgebra]:
     """Smallest built-in tractable subalgebra containing every entry."""
-    for sub in builtin_subalgebras(net.calculus):
-        if sub.tractable and not _outside(net, sub):
-            return sub
-    return None
+    return _first_holding(net, (sub for sub in builtin_subalgebras(net.calculus)
+                                if sub.tractable))
 
 
 def _require_members(net: Network, sub: Subalgebra) -> None:
@@ -322,13 +337,67 @@ def _narrow(calc, m: list[list[int]], pins,
     return next(_scenarios(calc, child), None) if search else child
 
 
+def _triangles(calc, m: list[list[int]]) -> Optional[dict]:
+    """One pass over every triangle i < j < k of a list matrix, applying
+    its three refinements in place: R_ij by R_ik . R_kj, R_ik by
+    R_ij . R_jk, R_jk by R_ji . R_ik.  Returns the pairs it changed, in
+    the order they first changed (a dict used as an ordered set), or None
+    once an entry empties.
+
+    At the end of a triangle each of its refinements holds or uses a pair
+    changed after it was applied, and a later change is recorded too; so
+    re-closing from the changed pairs alone reaches the closure, as
+    :func:`_pca_lists` from every non-universal pair does.
+    """
+    comp = calc._comp_list
+    conv = calc._conv_list
+    n = len(m)
+    changed = {}
+    for i in range(n - 2):
+        row_i = m[i]
+        for j in range(i + 1, n - 1):
+            row_j = m[j]
+            for k in range(j + 1, n):
+                row_k = m[k]
+                ij = row_i[j]
+                ik = row_i[k]
+                jk = row_j[k]
+                new = ij & comp[ik][row_k[j]]
+                if new != ij:
+                    if not new:
+                        return None
+                    ij = row_i[j] = new
+                    row_j[i] = conv[new]
+                    changed[i, j] = None
+                new = ik & comp[ij][jk]
+                if new != ik:
+                    if not new:
+                        return None
+                    ik = row_i[k] = new
+                    row_k[i] = conv[new]
+                    changed[i, k] = None
+                new = jk & comp[row_j[i]][ik]
+                if new != jk:
+                    if not new:
+                        return None
+                    row_j[k] = new
+                    row_k[j] = conv[new]
+                    changed[j, k] = None
+    return changed
+
+
 def _closed(net: Network) -> Optional[list[list[int]]]:
-    """The network closed from scratch: every non-universal entry pinned."""
+    """The network closed from scratch into a list matrix, or None when it
+    is inconsistent: one pass over its triangles, :func:`_triangles`, then
+    :func:`_pca_lists` from the pairs that pass changed."""
+    calc = net.calculus
     m = net.matrix.tolist()
-    star = net.calculus.universal
-    return _narrow(net.calculus, m, [(i, j, row[j]) for i, row in enumerate(m)
-                                     for j in range(i + 1, len(row))
-                                     if row[j] != star])
+    if not all(map(all, m)):
+        return None
+    changed = _triangles(calc, m)
+    if changed is None or _pca_lists(calc, m, changed) is not None:
+        return None
+    return m
 
 
 def _basic_pins(masks: np.ndarray) -> list[tuple[int, int, int]]:
@@ -351,27 +420,40 @@ def _solvable(net: Network, pins, guard: int,
                and _narrow(net.calculus, base, [pin], search) is not None)
 
 
-def _branch_entry(m: list[list[int]]) -> Optional[tuple[int, int]]:
+def _branch_entry(m: list[list[int]], pairs: list[tuple[int, int]]
+                  ) -> tuple[Optional[tuple[int, int]], list[tuple[int, int]]]:
+    """The branch entry: of ``pairs`` (row-major), the first non-basic one
+    with the fewest members in m, or None.  Also the pairs a child must
+    still look at: ``pairs`` without those already basic, which are
+    dropped as far as the scan went (the scan stops at a two-member
+    entry, since none has fewer)."""
     best = None
     best_count = 1 << 20
-    for i, row in enumerate(m):
-        for j in range(i + 1, len(row)):
-            c = row[j].bit_count()
-            if 1 < c < best_count:
+    left = []
+    for at, (i, j) in enumerate(pairs):
+        c = m[i][j].bit_count()
+        if c > 1:
+            left.append((i, j))
+            if c < best_count:
                 best = (i, j)
                 best_count = c
                 if c == 2:
-                    return best
-    return best
+                    return best, left + pairs[at + 1:]
+    return best, left
 
 
-def _scenarios(calc, m) -> Iterator[list[list[int]]]:
+def _scenarios(calc, m, pairs=None) -> Iterator[list[list[int]]]:
     """Backtracking enumeration over basic refinements of a path-consistent
     list matrix, or of none for None.  Yields path-consistent complete
-    basic matrices."""
+    basic matrices.  ``pairs`` holds, in row-major order, every pair i < j
+    that may still be non-basic (all of them when None); each child gets
+    the pairs its parent's :func:`_branch_entry` kept, so no search node
+    rescans the whole matrix."""
     if m is None:
         return
-    spot = _branch_entry(m)
+    if pairs is None:
+        pairs = [(i, j) for i in range(len(m)) for j in range(i + 1, len(m))]
+    spot, pairs = _branch_entry(m, pairs)
     if spot is None:
         yield m
         return
@@ -380,7 +462,7 @@ def _scenarios(calc, m) -> Iterator[list[list[int]]]:
         if m[i][j] >> b & 1:
             child = _narrow(calc, m, [(i, j, 1 << b)])
             if child is not None:
-                yield from _scenarios(calc, child)
+                yield from _scenarios(calc, child, pairs)
 
 
 def solve(net: Network, guard: int = DEFAULT_GUARD) -> Optional[Network]:

@@ -43,7 +43,7 @@ from .reasoning import (
     DEFAULT_GUARD,
     _basic_pins,
     _close,
-    _outside,
+    _first_holding,
     _require_members,
     _solvable,
     a_closure,
@@ -156,10 +156,7 @@ def detect_distributive(net: Network) -> Optional[Subalgebra]:
     Detection order is fixed (the smaller subalgebra first) so results
     are deterministic; both give identical answers where both apply.
     """
-    for sub in _maximal(net.calculus):
-        if not _outside(net, sub):
-            return sub
-    return None
+    return _first_holding(net, _maximal(net.calculus))
 
 
 def prime(net: Network, order: Sequence[tuple[int, int]] = None,

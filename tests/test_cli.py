@@ -237,6 +237,19 @@ def test_geom2net_rejects_ids_a_network_file_cannot_carry(capsys, tmp_path,
     assert err.startswith("error: region id ")
 
 
+@pytest.mark.parametrize("rid", [None, 1.5, True, [], 7],
+                         ids=["null", "float", "true", "list", "int"])
+def test_geom2net_rejects_ids_that_are_not_strings(capsys, tmp_path, rid):
+    regs = tmp_path / "regs.json"
+    regs.write_text(json.dumps({"regions": [
+        {"id": "a", "ring": [[0, 0], [2, 0], [0, 2]]},
+        {"id": rid, "ring": [[4, 0], [6, 0], [4, 2]]}]}))
+    out_path = tmp_path / "net.txt"
+    code, out, err = run(capsys, "geom2net", str(regs), "-o", str(out_path))
+    assert code == 2 and not out and not out_path.exists()
+    assert err == f"error: region id {rid!r} is not a string\n"
+
+
 def test_gen_regions_deterministic(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "gen-regions", "-n", "6", "--seed", "9", "-o", str(a))

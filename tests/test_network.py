@@ -53,6 +53,22 @@ def test_diagonal_is_locked():
     net[0, 0] = "EQ"  # no-op is fine
 
 
+@pytest.mark.parametrize("i,j", [(-1, 2), (2, -1), (-1, 0), (0, 3), (3, 0),
+                                 (-1, 3), (0, 7)])
+def test_entry_access_rejects_indices_out_of_range(i, j):
+    net = Network(RCC8, 3)
+    before = net.matrix.copy()
+    dc = RCC8.parse("DC")
+    for access in (lambda: net.mask(i, j), lambda: net.entry(i, j),
+                   lambda: net[i, j], lambda: net.set_mask(i, j, dc),
+                   lambda: net.__setitem__((i, j), "DC"),
+                   lambda: remove_constraint(net, i, j)):
+        with pytest.raises(NetworkShapeError, match="out of range"):
+            access()
+    assert np.array_equal(net.matrix, before)
+    net.validate()
+
+
 def test_load_normalizes_and_round_trips():
     text = "calculus RCC5\nvars 2\n1 2 PP\n"
     net = loads(text)

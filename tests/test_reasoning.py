@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import util_instances as gen
 from rcckit import RCC5, RCC8, Network, Relation, ct_path, reasoning
-from rcckit.algebra import bhat, d5_20, d8_41, h5
+from rcckit.algebra import _maximal, bhat, builtin_subalgebras, d5_20, d8_41, h5
 from rcckit.errors import (
     GuardExceededError,
     InconsistentNetworkError,
@@ -20,7 +20,10 @@ from rcckit.errors import (
 from rcckit.network import refines, remove_constraint, restrict
 from rcckit.reasoning import (
     _close,
+    _closed,
     _meets,
+    _narrow,
+    _outside,
     _pca_lists,
     _witness,
     a_closure,
@@ -335,6 +338,10 @@ def test_entails_examples(example1, example2):
     assert not entails(reduced, 0, 1, RCC5.relation("DR"))
     with pytest.raises(NetworkShapeError):
         entails(example1, 1, 1, RCC5.relation("EQ"))
+    # -1 named variable 4, the last, when it wrapped round
+    for i, j in ((-1, 0), (0, -1), (0, 5), (5, 0)):
+        with pytest.raises(NetworkShapeError, match="out of range"):
+            entails(example1, i, j, RCC5.relation("DR"))
 
 
 def test_all_different_examples(example1, example2, bad_triangle):
@@ -614,3 +621,126 @@ def test_oracle_guard_applies_only_to_searches():
         mask = easy.mask(i, j)
         rel = Relation(RCC8, mask & (mask - 1))
         assert entails(easy, i, j, rel) == _ref_entails(easy, i, j, rel, 12)
+
+
+# The oracle's from-scratch closure and search as they were before the
+# triangle pass and the carried branch candidates: every non-universal
+# pair queued into _pca_lists, and every search node rescanning the whole
+# matrix for its branch entry.
+
+
+def _ref_closed(net):
+    m = net.matrix.tolist()
+    star = net.calculus.universal
+    return _narrow(net.calculus, m, [(i, j, row[j]) for i, row in enumerate(m)
+                                     for j in range(i + 1, len(row))
+                                     if row[j] != star])
+
+
+def _ref_branch_entry(m):
+    best = None
+    best_count = 1 << 20
+    for i, row in enumerate(m):
+        for j in range(i + 1, len(row)):
+            c = row[j].bit_count()
+            if 1 < c < best_count:
+                best = (i, j)
+                best_count = c
+                if c == 2:
+                    return best
+    return best
+
+
+def _ref_scenarios(calc, m):
+    if m is None:
+        return
+    spot = _ref_branch_entry(m)
+    if spot is None:
+        yield m
+        return
+    i, j = spot
+    for b in range(calc.size):
+        if m[i][j] >> b & 1:
+            child = _narrow(calc, m, [(i, j, 1 << b)])
+            if child is not None:
+                yield from _ref_scenarios(calc, child)
+
+
+def _with_empty_entry(net, seed):
+    i, j = random.Random(seed).sample(range(net.n), 2)
+    out = net.copy()
+    out.set_mask(i, j, 0)
+    return out
+
+
+def test_closed_matches_the_all_pairs_reference():
+    kinds = set()
+    for rcc5, n in itertools.product((True, False), range(2, 13)):
+        nets = _closure_inputs(n, 500 + n, rcc5)
+        for net in (*nets, _with_empty_entry(nets[0], n)):
+            got = _closed(net)
+            assert got == _ref_closed(net), (rcc5, n)
+            kinds.add("closed" if got is not None
+                      else "inconsistent" if net.matrix.all() else "empty")
+    assert kinds == {"closed", "inconsistent", "empty"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(gen.networks(), st.booleans())
+def test_closed_matches_the_all_pairs_reference_property(net, empty):
+    if empty:
+        net = _with_empty_entry(net, net.n)
+    assert _closed(net) == _ref_closed(net)
+
+
+def _search_inputs(n, seed, rcc5):
+    """_oracle_inputs and an intractable RCC8 network, with the inputs'
+    restrictions to their first three variables."""
+    nets = list(_oracle_inputs(n, seed, rcc5))
+    if not rcc5:
+        nets.append(gen.intractable_network(n, seed))
+    return nets + [restrict(net, range(3)) for net in nets]
+
+
+def test_search_order_matches_the_rescanning_reference():
+    found = 0
+    for rcc5, n in itertools.product((True, False), range(3, 9)):
+        for net in _search_inputs(n, 900 + n, rcc5):
+            calc = net.calculus
+            # the first 300 scenarios pin down the order of the search
+            ref = list(itertools.islice(
+                _ref_scenarios(calc, _ref_closed(net)), 300))
+            got = [sc.matrix.tolist() for sc in
+                   itertools.islice(enumerate_scenarios(net), 300)]
+            assert got == ref, (rcc5, n)
+            first = solve(net)
+            assert (None if first is None
+                    else first.matrix.tolist()) == next(iter(ref), None)
+            found += bool(ref)
+    assert found
+
+
+def _ref_first_holding(net, subs):
+    return next((sub for sub in subs if not _outside(net, sub)), None)
+
+
+def _check_detection(net):
+    calc = net.calculus
+    assert detect_tractable(net) is _ref_first_holding(
+        net, [sub for sub in builtin_subalgebras(calc) if sub.tractable])
+    assert detect_distributive(net) is _ref_first_holding(
+        net, _maximal(calc))
+
+
+def test_detection_matches_the_per_subalgebra_reference(example1, example2):
+    for net in (example1, example2, Network(RCC5, 1), Network(RCC8, 4)):
+        _check_detection(net)
+    for rcc5, n in itertools.product((True, False), (3, 6, 9)):
+        for net in _search_inputs(n, 700 + n, rcc5):
+            _check_detection(net)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gen.networks() | _basic_networks())
+def test_detection_matches_the_per_subalgebra_reference_property(net):
+    _check_detection(net)

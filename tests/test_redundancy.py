@@ -43,6 +43,15 @@ def test_is_redundant_example1(example1):
         is_redundant(example1, 1, 1)
 
 
+@pytest.mark.parametrize("i,j", [(-1, 0), (4, -1), (0, 5), (-5, 0)])
+def test_is_redundant_rejects_indices_out_of_range(example1, i, j):
+    # (4, -1) named the diagonal cell (4, 4) when -1 wrapped round
+    before = example1.copy()
+    with pytest.raises(NetworkShapeError, match="out of range"):
+        is_redundant(example1, i, j)
+    assert example1 == before
+
+
 def test_core_example1(example1):
     rep = core(example1)
     assert rep.nontrivial == {(0, 1)}
