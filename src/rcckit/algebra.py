@@ -378,11 +378,14 @@ _BY_NAME = {
 }
 
 
+NAMES = tuple(sorted(_BY_NAME))
+
+
 def by_name(name: str) -> Subalgebra:
     """The named built-in subalgebra; only that one is derived."""
     try:
         make = _BY_NAME[name.upper()]
     except KeyError:
         raise UnknownNameError(f"unknown subalgebra {name!r}; expected one of "
-                               + ", ".join(sorted(_BY_NAME))) from None
+                               + ", ".join(NAMES)) from None
     return make()

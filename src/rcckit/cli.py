@@ -343,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     guard = _flag("--guard", type=int, default=reasoning.DEFAULT_GUARD,
                   help="size limit for the backtracking oracle")
     subalgebra = _flag("--subalgebra", default="auto",
-                       choices=["auto", "BHAT5", "BHAT8", "D5_14", "D5_20",
-                                "D8_41", "D8_64", "H5"],
+                       choices=["auto", *algebra.NAMES],
                        help="subalgebra to assume instead of auto-detection")
 
     parser = argparse.ArgumentParser(

@@ -87,6 +87,10 @@ class Network:
     # -- entry access ----------------------------------------------------
 
     def _check_pair(self, i: int, j: int) -> None:
+        # a plain int passes at once: mask is on the oracle's probe path
+        if type(i) is not int or type(j) is not int:
+            _require_index(i)
+            _require_index(j)
         # numpy would wrap a negative index round to the far end
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise NetworkShapeError(
@@ -121,8 +125,7 @@ class Network:
                 return self.labels.index(var)
             except ValueError:
                 raise NetworkShapeError(f"unknown variable {var!r}")
-        if isinstance(var, bool) or not isinstance(var, (int, np.integer)):
-            raise NetworkShapeError(f"variable index {var!r} is not an integer")
+        _require_index(var)
         i = int(var)
         if not 0 <= i < self.n:
             raise NetworkShapeError(
@@ -194,6 +197,12 @@ class Network:
     def __repr__(self) -> str:
         return (f"Network({self.calculus.name}, n={self.n}, "
                 f"{self.constraint_count()} constraints)")
+
+
+def _require_index(var) -> None:
+    # a bool is an int, but not an index
+    if isinstance(var, bool) or not isinstance(var, (int, np.integer)):
+        raise NetworkShapeError(f"variable index {var!r} is not an integer")
 
 
 def _unsavable(labels: Sequence[str]) -> bool:
@@ -413,6 +422,13 @@ def remove_constraint(net: Network, i: int, j: int) -> Network:
     return out
 
 
+def _eq_pairs(calc: Calculus, m: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs i < j, row-major, whose entry of the mask matrix m is EQ:
+    the entailed equalities when m is closed over a tractable subclass."""
+    rows, cols = np.nonzero(np.triu(m == calc.identity, k=1))
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def amalgamate(net: Network, eq_classes: Iterable[Iterable]) -> Network:
     """Merge variables that the network forces to be identical.
 
@@ -463,6 +479,6 @@ def amalgamate(net: Network, eq_classes: Iterable[Iterable]) -> Network:
                     "amalgamation produced an empty relation")
             out.set_mask(a, b, mask)
     check = a_closure(out)
-    if check.consistent and np.triu(check.network.matrix == eq, k=1).any():
+    if check.consistent and _eq_pairs(net.calculus, check.network.matrix):
         raise NetworkShapeError("classes do not cover all entailed equalities")
     return out

@@ -3,13 +3,14 @@
 The a-closure (algebraic closure) is the fixed point of the refinement
 rule R_ij <- (R_ik . R_kj) & R_ij.  :func:`a_closure` reaches it with one
 engine for every size: sweeps over blocks of rows that apply the rule for
-all k at once, repeated until a sweep changes nothing.  Asked for Q, the
-sweeps run over a universal diagonal, so the meet they take for (i, j)
-runs over the k other than i and j: in the sweep that changes nothing it
-is Algorithm 1's Q_ij, which :func:`rcckit.redundancy.core_algorithm1`
+all k at once, repeated until a sweep changes nothing.  The sweeps run
+over a universal diagonal, so the meet they take for (i, j) runs over
+the k other than i and j: in the sweep that changes nothing it is
+Algorithm 1's Q_ij, which :func:`rcckit.redundancy.core_algorithm1`
 takes from there.  For networks over a tractable subclass (basic
 networks among them) the closure decides consistency;
-``_closure_decides`` is the one test of that, for every caller here.
+``_closure_decides`` is the one test of that, and ``_fit`` the one test
+that a subalgebra holds a network, for every caller.
 The per-block gather of every R_ij . R_jk, ``_gathers``, is one kernel:
 ``_meets`` AND-reduces it for the closure, and the Simple/SimpleExt
 engine (:mod:`rcckit.baselines`) tests it directly.
@@ -44,7 +45,7 @@ from .errors import (
     MembershipError,
     NetworkShapeError,
 )
-from .network import Network, restrict
+from .network import Network, _eq_pairs, restrict
 
 __all__ = [
     "AClosureResult",
@@ -104,12 +105,10 @@ def _pca_lists(calc, m: list[list[int]],
     conv = calc._conv_list
     n = len(m)
     q = deque(queue)
-    inq = [[False] * n for _ in range(n)]
-    for i, j in q:
-        inq[i][j] = True
+    inq = set(q)
     while q:
         i, j = q.popleft()
-        inq[i][j] = False
+        inq.discard((i, j))
         rij = m[i][j]
         row_i = m[i]
         row_j = m[j]
@@ -125,10 +124,10 @@ def _pca_lists(calc, m: list[list[int]],
                     return i, j, k
                 row_i[k] = new
                 row_k[i] = conv[new]
-                a, b = (i, k) if i < k else (k, i)
-                if not inq[a][b]:
-                    inq[a][b] = True
-                    q.append((a, b))
+                pair = (i, k) if i < k else (k, i)
+                if pair not in inq:
+                    inq.add(pair)
+                    q.append(pair)
             old = row_k[j]
             new = old & comp[row_k[i]][rij]
             if new != old:
@@ -136,10 +135,10 @@ def _pca_lists(calc, m: list[list[int]],
                     return k, i, j
                 row_k[j] = new
                 row_j[k] = conv[new]
-                a, b = (k, j) if k < j else (j, k)
-                if not inq[a][b]:
-                    inq[a][b] = True
-                    q.append((a, b))
+                pair = (k, j) if k < j else (j, k)
+                if pair not in inq:
+                    inq.add(pair)
+                    q.append(pair)
     return None
 
 
@@ -167,38 +166,32 @@ def _meets(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         yield block, np.bitwise_and.reduce(gather, axis=1)
 
 
-def _close(calc, m: np.ndarray, q: Optional[np.ndarray] = None
-           ) -> tuple[Optional[tuple[int, int, int]], int, int]:
+def _close(calc, m: np.ndarray) -> tuple:
     """Enforce path consistency on a uint16 mask matrix in place.
 
     Sweeps the rows in blocks, narrowing each block to its meets
     (:func:`_meets`) and mirroring its converse into the matching columns,
     until a sweep changes nothing.  Entries only shrink, so the sweeps
-    terminate.  Returns (witness, updates, sweeps) as described in
-    :class:`AClosureResult`; witness is None on success.
+    terminate.  Returns (witness, updates, sweeps, q): the first three as
+    in :class:`AClosureResult`, witness None on success.
 
-    The k = i and k = j terms of a meet never narrow its entry: over an EQ
-    diagonal they are the entry itself, over a universal one they are
-    universal (* . r = r . * = * for every nonempty r).  Without ``q`` the
-    diagonal stays EQ, so each block's meets lie within it and are EQ on
-    its diagonal.  Given ``q``, an array shaped like m, the sweeps run over
-    a universal diagonal instead, so that the meets of row i are Q_ij, the
-    meet over every k other than i and j: each sweep writes them into q,
-    ANDs the block into them and resets the block's diagonal to universal
-    before comparing, and EQ is restored on return.  On success q holds the
-    meets of the sweep that changed nothing, Q of the closed matrix (its
-    diagonal aside).  That AND and the diagonal writes cost a closure of
-    19 variables up to a fifth of its time, so only Q asks for them.
+    The sweeps run over a universal diagonal, restored to EQ on return:
+    * . r = r . * = * for every nonempty r, so the k = i and k = j terms,
+    which never narrow an entry, drop out, and the meets of row i are
+    Q_ij, the meet over every other k.  Each sweep copies them into q
+    before ANDing the block into them.  On success q is Q of the closed
+    matrix, from the sweep that changed nothing (its diagonal aside), else
+    None.
     """
     if not m.all():
         i, j = np.argwhere(m == 0)[0].tolist()
-        return (i, i, j), 0, 0
+        return (i, i, j), 0, 0, None
     conv = calc.conv_table
     star = calc.universal
     # diagonal cells lie n + 1 apart in m flattened, and in a block of rows
     step = m.shape[0] + 1
-    if q is not None:
-        m.flat[::step] = star
+    m.flat[::step] = star
+    q = np.empty_like(m)
     witness = None
     updates = sweeps = 0
     changed = True
@@ -207,10 +200,9 @@ def _close(calc, m: np.ndarray, q: Optional[np.ndarray] = None
         sweeps += 1
         for block, new in _meets(calc, m):
             rows = m[block]
-            if q is not None:
-                q[block] = new
-                new &= rows
-                new.reshape(-1)[block.start::step] = star
+            q[block] = new
+            new &= rows
+            new.reshape(-1)[block.start::step] = star
             diff = int(np.count_nonzero(new != rows))
             if not diff:
                 continue
@@ -222,9 +214,8 @@ def _close(calc, m: np.ndarray, q: Optional[np.ndarray] = None
             changed = True
             rows[:] = new
             m[:, block] = conv[new].T
-    if q is not None:
-        m.flat[::step] = calc.identity
-    return witness, updates, sweeps
+    m.flat[::step] = calc.identity
+    return witness, updates, sweeps, (q if witness is None else None)
 
 
 def _witness(calc, m: np.ndarray, i: int, j: int) -> tuple[int, int, int]:
@@ -248,7 +239,7 @@ def a_closure(net: Network) -> AClosureResult:
     is independent of the processing order.
     """
     m = net.matrix.copy()
-    witness, updates, sweeps = _close(net.calculus, m)
+    witness, updates, sweeps, _ = _close(net.calculus, m)
     if witness is not None:
         return AClosureResult(False, None, witness, updates, sweeps)
     out = Network(net.calculus, net.n, net.labels)
@@ -256,47 +247,42 @@ def a_closure(net: Network) -> AClosureResult:
     return AClosureResult(True, out, None, updates, sweeps)
 
 
-def _entry_masks(net: Network) -> set[int]:
-    """The distinct entry masks of the network, the diagonal's among them."""
-    return set(np.flatnonzero(np.bincount(net.matrix.ravel())).tolist())
-
-
-def _first_holding(net: Network, subs) -> Optional[Subalgebra]:
-    """The first of ``subs`` that holds every entry of the network."""
-    masks = _entry_masks(net)
-    return next((sub for sub in subs if masks <= sub.members), None)
-
-
-def _outside(net: Network, sub: Subalgebra) -> set[int]:
-    """The entry masks of the network that are not members of ``sub``."""
-    return _entry_masks(net) - sub.members
-
-
-def detect_tractable(net: Network) -> Optional[Subalgebra]:
-    """Smallest built-in tractable subalgebra containing every entry."""
-    return _first_holding(net, (sub for sub in builtin_subalgebras(net.calculus)
-                                if sub.tractable))
-
-
-def _require_members(net: Network, sub: Subalgebra) -> None:
-    extra = _outside(net, sub)
+def _fit(net: Network, sub: Optional[Subalgebra],
+         candidates) -> Optional[Subalgebra]:
+    """A given ``sub``, which must be of the network's calculus and hold
+    every entry (else NetworkShapeError, MembershipError); without one,
+    the first of ``candidates(net.calculus)`` that holds them, or None."""
+    masks = set(np.flatnonzero(np.bincount(net.matrix.ravel())).tolist())
+    if sub is None:
+        return next((c for c in candidates(net.calculus)
+                     if masks <= c.members), None)
+    if sub.calculus is not net.calculus:
+        raise NetworkShapeError("subalgebra from a different calculus")
+    extra = masks - sub.members
     if extra:
         bad = ", ".join(net.calculus.format(m) for m in sorted(extra))
         raise MembershipError(
             f"entries outside {sub.name or 'the subalgebra'}: {bad}")
+    return sub
+
+
+def _tractable(calc) -> list[Subalgebra]:
+    return [sub for sub in builtin_subalgebras(calc) if sub.tractable]
+
+
+def detect_tractable(net: Network) -> Optional[Subalgebra]:
+    """Smallest built-in tractable subalgebra containing every entry."""
+    return _fit(net, None, _tractable)
 
 
 def _closure_decides(net: Network, subclass: Subalgebra = None) -> bool:
     """Does the a-closure decide this network?  A given subclass must be
-    tractable and hold every entry; else a built-in one is looked for
+    tractable and fit (:func:`_fit`); else a built-in one is looked for
     (Bhat, the first, holds every basic network)."""
-    if subclass is None:
-        return detect_tractable(net) is not None
-    if not subclass.tractable:
+    if subclass is not None and not subclass.tractable:
         raise MembershipError(
             f"subalgebra {subclass.name or '?'} is not flagged tractable")
-    _require_members(net, subclass)
-    return True
+    return _fit(net, subclass, _tractable) is not None
 
 
 def is_consistent(net: Network, subclass: Subalgebra = None,
@@ -408,13 +394,13 @@ def _basic_pins(masks: np.ndarray) -> list[tuple[int, int, int]]:
             for b in range(row[j].bit_length()) if row[j] >> b & 1]
 
 
-def _solvable(net: Network, pins, guard: int,
-              search: bool = True) -> Iterator[bool]:
-    """Lazily, per pin: has the network a solution inside it?  Without
-    ``search`` a probe's closure decides, as over a tractable subclass."""
+def _solvable(net: Network, base: Optional[list[list[int]]], pins,
+              guard: int, search: bool = True) -> Iterator[bool]:
+    """Lazily, per pin: has the network a solution inside it?  ``base`` is
+    the network closed by :func:`_closed`.  Without ``search`` a probe's
+    closure decides, as over a tractable subclass."""
     if pins and search:
         _check_guard(net.n, guard)
-    base = _closed(net)
     for pin in pins:
         yield (base is not None
                and _narrow(net.calculus, base, [pin], search) is not None)
@@ -509,7 +495,8 @@ def entails(net: Network, i: int, j: int, r: Relation,
     if net.mask(i, j) != calc.universal:
         wide = net.copy()
         wide.set_mask(i, j, calc.universal)
-    return not any(_solvable(net, pins, guard, not _closure_decides(wide)))
+    return not any(_solvable(net, _closed(net), pins, guard,
+                             not _closure_decides(wide)))
 
 
 @dataclass
@@ -536,17 +523,16 @@ def all_different(net: Network, subclass: Subalgebra = None) -> AllDifferentResu
     if not res.consistent:
         raise InconsistentNetworkError(
             "inconsistent network: it entails everything")
-    eq = net.calculus.identity
-    pairs = [(i, j) for i in range(net.n) for j in range(i + 1, net.n)
-             if res.network.mask(i, j) == eq]
+    pairs = _eq_pairs(net.calculus, res.network.matrix)
     return AllDifferentResult(not pairs, pairs)
 
 
 def check_minimal(net: Network, guard: int = DEFAULT_GUARD) -> bool:
     """Oracle check that every basic in every entry is feasible."""
-    if _closed(net) is None:
+    base = _closed(net)
+    if base is None:
         raise InconsistentNetworkError("minimality is about consistent networks")
-    return all(_solvable(net, _basic_pins(net.matrix), guard))
+    return all(_solvable(net, base, _basic_pins(net.matrix), guard))
 
 
 def check_weak_global(net: Network, guard: int = DEFAULT_GUARD) -> bool:

@@ -15,7 +15,8 @@ the intersection Q_ij of S_ik . S_kj over all other k reproduces S_ij.
 Every Q_ij comes from the a-closure's own last sweep, the one that
 changes nothing (``reasoning._close``): it meets over a universal
 diagonal, and * . r = r . * = * for every nonempty r, so the k = i and
-k = j terms drop out of the meet.
+k = j terms drop out of the meet.  A given subalgebra must be of the
+network's own calculus: closure over one of the other proves nothing.
 
 :func:`prime_iterative` is the general fold that removes redundant
 constraints one at a time in a caller-chosen order; on distributive
@@ -38,13 +39,13 @@ from .errors import (
     NetworkShapeError,
     NotAllDifferentError,
 )
-from .network import Network, remove_constraint
+from .network import Network, _eq_pairs, remove_constraint
 from .reasoning import (
     DEFAULT_GUARD,
     _basic_pins,
     _close,
-    _first_holding,
-    _require_members,
+    _closed,
+    _fit,
     _solvable,
     a_closure,
     entails,
@@ -156,7 +157,7 @@ def detect_distributive(net: Network) -> Optional[Subalgebra]:
     Detection order is fixed (the smaller subalgebra first) so results
     are deterministic; both give identical answers where both apply.
     """
-    return _first_holding(net, _maximal(net.calculus))
+    return _fit(net, None, _maximal)
 
 
 def prime(net: Network, order: Sequence[tuple[int, int]] = None,
@@ -165,9 +166,9 @@ def prime(net: Network, order: Sequence[tuple[int, int]] = None,
     """A prime subnetwork, by the engine the module docstring describes;
     the report's ``method`` is ``algorithm1`` or ``iterative``.  The fold
     is preceded by one consistency check."""
-    if order is None and (subalgebra is not None
-                          or detect_distributive(net) is not None):
-        return core_algorithm1(net, subalgebra)
+    if order is None and (
+            sub := _fit(net, subalgebra, _maximal)) is not None:
+        return core_algorithm1(net, sub)
     if not is_consistent(net, guard=guard):
         raise InconsistentNetworkError(_NEEDS_CONSISTENT)
     return _report(net, prime_iterative(net, order, guard=guard), "iterative")
@@ -180,34 +181,28 @@ def core_algorithm1(net: Network,
 
     Requires a consistent, all-different network whose entries lie in a
     distributive subalgebra (auto-detected among the built-ins when not
-    given).  An explicitly passed tractable subalgebra is accepted as an
-    override; uniqueness of the result is guaranteed only for
-    distributive ones.
+    given).  An explicitly passed tractable subalgebra of the network's
+    calculus is accepted as an override; uniqueness of the result is
+    guaranteed only for distributive ones.
     """
-    if subalgebra is None:
-        subalgebra = detect_distributive(net)
-        if subalgebra is None:
-            raise MembershipError(
-                "entries do not fit a built-in distributive subalgebra; "
-                "pass one explicitly to override")
-    else:
-        _require_members(net, subalgebra)
+    if _fit(net, subalgebra, _maximal) is None:
+        raise MembershipError(
+            "entries do not fit a built-in distributive subalgebra; "
+            "pass one explicitly to override")
     calc = net.calculus
     n = net.n
     closed = net.matrix.copy()
-    q = np.empty_like(closed)
-    if _close(calc, closed, q)[0] is not None:
+    witness, _, _, q = _close(calc, closed)
+    if witness is not None:
         raise InconsistentNetworkError(_NEEDS_CONSISTENT)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    equal = _pairs(upper & (closed == calc.identity))
+    equal = _eq_pairs(calc, closed)
     if equal:
         raise NotAllDifferentError(
-            f"entailed equalities at {sorted(equal)}; amalgamate them first")
+            f"entailed equalities at {equal}; amalgamate them first")
     # q is Q of the closed matrix: the meets of the sweep that changed nothing
-    star = calc.universal
-    redundant = upper & (q == closed)
+    redundant = np.triu(q == closed, k=1)
     out = net.copy()
-    out.matrix[redundant | redundant.T] = star
+    out.matrix[redundant | redundant.T] = calc.universal
     return _report(net, out, "algorithm1", n * (n - 1) * (n - 2) // 2)
 
 
@@ -215,12 +210,11 @@ def _report(net: Network, out: Network, method: str,
             checks: int = 0) -> RedundancyReport:
     """The report of ``out``, ``net`` with its redundant constraints made
     universal: the universal pairs of each, above the diagonal."""
-    upper = np.triu(np.ones((net.n, net.n), dtype=bool), k=1)
     star = net.calculus.universal
-    return RedundancyReport(redundant=_pairs(upper & (out.matrix == star)),
-                            trivially_redundant=_pairs(
-                                upper & (net.matrix == star)),
-                            method=method, checks=checks, network=out)
+    return RedundancyReport(
+        redundant=_pairs(np.triu(out.matrix == star, k=1)),
+        trivially_redundant=_pairs(np.triu(net.matrix == star, k=1)),
+        method=method, checks=checks, network=out)
 
 
 def _pairs(mask: np.ndarray) -> set:
@@ -245,7 +239,8 @@ def equivalent(a: Network, b: Network, guard: int = DEFAULT_GUARD) -> bool:
             return ra.consistent == rb.consistent
         return bool(np.array_equal(ra.network.matrix, rb.network.matrix))
     meet = a.matrix & b.matrix
-    return not any(any(_solvable(net, _basic_pins(net.matrix & ~meet), guard))
+    return not any(any(_solvable(net, _closed(net),
+                                 _basic_pins(net.matrix & ~meet), guard))
                    for net in (a, b))
 
 

@@ -180,6 +180,42 @@ def test_prime_and_compare_reject_inconsistent_input(capsys, tmp_path,
     assert err == "error: a prime subnetwork needs a consistent network\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("consistent", "--subalgebra", "D8_64"),
+    ("consistent", "--subalgebra", "BHAT8"),
+    ("prime", "--subalgebra", "D8_41"),
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_a_subalgebra_of_the_other_calculus_exits_2(capsys, tmp_path, argv):
+    # closure over an RCC8 subalgebra proves nothing about an RCC5 file
+    path = tmp_path / "outside_h5.net"
+    path.write_text("calculus RCC5\nvars 3\n1 2 PP|PPi\n2 3 PP|PPi\n"
+                    "1 3 DR\n")
+    command, *rest = argv
+    code, out, err = run(capsys, command, str(path), *rest)
+    assert code == 2 and out == ""
+    assert err == "error: subalgebra from a different calculus\n"
+
+
+def test_subalgebra_choices_are_the_name_table(capsys):
+    from pathlib import Path
+
+    from rcckit import algebra
+
+    parser = cli.build_parser()
+    for command in ("consistent", "prime", "bench"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--subalgebra", "NOPE", "x"])
+        err = capsys.readouterr().err
+        listed = err.split("choose from ")[1].rstrip().rstrip(")")
+        names = [name.strip(" '") for name in listed.split(",")]
+        assert names == ["auto", *algebra.NAMES]
+    for name in algebra.NAMES:
+        assert algebra.by_name(name).name.upper() == name
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert "--subalgebra {" + ",".join(["auto", *algebra.NAMES]) + "}" \
+        in readme
+
+
 def test_core_command(capsys, example1_path):
     code, out, _ = run(capsys, "core", example1_path, "--json")
     assert code == 0

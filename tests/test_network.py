@@ -69,6 +69,23 @@ def test_entry_access_rejects_indices_out_of_range(i, j):
     net.validate()
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, False, np.bool_(True),
+                                 np.float64(1), None, "1"], ids=repr)
+def test_entry_access_rejects_non_integer_indices(bad):
+    net = Network(RCC8, 3)
+    before = net.matrix.copy()
+    dc = RCC8.parse("DC")
+    for i, j in ((bad, 0), (0, bad)):
+        for access in (lambda: net.mask(i, j), lambda: net[i, j],
+                       lambda: net.set_mask(i, j, dc),
+                       lambda: net.__setitem__((i, j), "DC")):
+            with pytest.raises(NetworkShapeError, match="not an integer"):
+                access()
+    assert np.array_equal(net.matrix, before)
+    net.set_mask(np.int64(0), np.uint16(2), dc)
+    assert net.mask(0, 2) == net[np.int32(0), 2].mask == dc
+
+
 def test_load_normalizes_and_round_trips():
     text = "calculus RCC5\nvars 2\n1 2 PP\n"
     net = loads(text)

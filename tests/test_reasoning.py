@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 import util_instances as gen
 from rcckit import RCC5, RCC8, Network, Relation, ct_path, reasoning
-from rcckit.algebra import _maximal, bhat, builtin_subalgebras, d5_20, d8_41, h5
+from rcckit.algebra import (
+    _maximal,
+    bhat,
+    builtin_subalgebras,
+    d5_20,
+    d8_41,
+    d8_64,
+    h5,
+)
 from rcckit.errors import (
     GuardExceededError,
     InconsistentNetworkError,
@@ -23,7 +31,6 @@ from rcckit.reasoning import (
     _closed,
     _meets,
     _narrow,
-    _outside,
     _pca_lists,
     _witness,
     a_closure,
@@ -134,14 +141,14 @@ def test_close_matches_the_queue_reference():
             ref_witness = _pca_lists(net.calculus, ref,
                                      list(net.constraint_pairs()))
             m = net.matrix.copy()
-            witness, updates, sweeps = _close(net.calculus, m)
+            witness, updates, sweeps, _ = _close(net.calculus, m)
             assert (witness is None) == (ref_witness is None), n
             verdicts.add(witness is None)
             if witness is None:
                 assert np.array_equal(m, np.array(ref, dtype=np.uint16)), n
                 assert (updates > 0) == (not np.array_equal(m, net.matrix))
                 assert (sweeps > 1) == (updates > 0)
-                assert _close(net.calculus, m) == (None, 0, 1)
+                assert _close(net.calculus, m)[:3] == (None, 0, 1)
             else:
                 assert len(set(witness)) == 3, (n, witness)
     assert verdicts == {True, False}
@@ -187,13 +194,22 @@ def test_close_matches_the_eq_diagonal_sweep(monkeypatch, cells):
             calc = net.calculus
             ref = net.matrix.copy()
             expected = _eq_diagonal_close(calc, ref)
-            # with q the sweeps run over a universal diagonal
-            for q in (None, np.empty_like(ref)):
-                m = net.matrix.copy()
-                assert _close(calc, m, q) == expected, n
-                assert np.array_equal(m, ref), n
-                assert (np.diagonal(m) == calc.identity).all(), n
+            # _close sweeps over a universal diagonal
+            m = net.matrix.copy()
+            *got, q = _close(calc, m)
+            assert tuple(got) == expected, n
+            assert np.array_equal(m, ref), n
+            assert (np.diagonal(m) == calc.identity).all(), n
             witness, _, sweeps = expected
+            if witness is None:
+                # Q: one more pass of the meets over a universal diagonal
+                wide = ref.copy()
+                np.fill_diagonal(wide, calc.universal)
+                want = np.concatenate([b for _, b in _meets(calc, wide)])
+                off = ~np.eye(n, dtype=bool)
+                assert np.array_equal(q[off], want[off]), n
+            else:
+                assert q is None, n
             paths.add("closed" if witness is None
                       else "empty" if sweeps == 0 else "witness")
     assert paths == {"closed", "witness", "empty"}
@@ -247,6 +263,27 @@ def test_is_consistent_rejects_nontractable_flag(example1):
     plain = Subalgebra(RCC5, [RCC5.parse("PP")])
     with pytest.raises(MembershipError):
         is_consistent(example1, plain)
+
+
+def test_a_subalgebra_of_the_other_calculus_is_rejected(example1):
+    # PP|PPi lies outside H5, RCC5's maximal tractable class: closure over
+    # an RCC8 subalgebra proves nothing about this network
+    net = Network(RCC5, 3)
+    net[0, 1] = "PP|PPi"
+    net[1, 2] = "PP|PPi"
+    net[0, 2] = "DR"
+    for decide in (is_consistent, all_different):
+        for sub in (d8_41(), d8_64(), bhat(RCC8)):
+            with pytest.raises(NetworkShapeError,
+                               match="subalgebra from a different calculus"):
+                decide(net, sub)
+        with pytest.raises(NetworkShapeError,
+                           match="subalgebra from a different calculus"):
+            decide(Network(RCC8, 3), h5())
+    with pytest.raises(MembershipError,
+                       match=r"entries outside H5: PP\|PPi$"):
+        is_consistent(net, h5())
+    assert is_consistent(example1, h5())
 
 
 def test_detect_tractable(example1):
@@ -375,6 +412,18 @@ def test_check_minimal_on_scenarios_and_closures():
     assert check_minimal(sc)  # a consistent scenario is trivially minimal
     closed = a_closure(gen.random_scenario(5, 33, rcc5=True)).network
     assert check_minimal(closed)
+
+
+def test_check_minimal_closes_once(monkeypatch, example1):
+    calls = []
+
+    def counting(net):
+        calls.append(net)
+        return _closed(net)
+
+    monkeypatch.setattr(reasoning, "_closed", counting)
+    assert check_minimal(a_closure(example1).network)
+    assert len(calls) == 1
 
 
 def test_check_minimal_rejects_inconsistent(bad_triangle):
@@ -721,7 +770,8 @@ def test_search_order_matches_the_rescanning_reference():
 
 
 def _ref_first_holding(net, subs):
-    return next((sub for sub in subs if not _outside(net, sub)), None)
+    masks = set(net.matrix.ravel().tolist())
+    return next((sub for sub in subs if masks <= sub.members), None)
 
 
 def _check_detection(net):

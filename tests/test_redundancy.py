@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
 import util_instances as gen
-from rcckit import RCC5, RCC8, Network, reasoning
+from rcckit import RCC5, RCC8, Network, reasoning, redundancy
 from rcckit.algebra import d5_14, d5_20, d8_41, d8_64, h5
 from rcckit.errors import (
     InconsistentNetworkError,
@@ -122,6 +122,42 @@ def test_core_algorithm1_rejects_inconsistent(bad_triangle):
 def test_core_algorithm1_membership_check(example1):
     with pytest.raises(MembershipError):
         core_algorithm1(example1, d5_20())
+
+
+def test_a_subalgebra_of_the_other_calculus_is_rejected(example1):
+    # 1 PP|PPi 2, 2 PP|PPi 3, 1 DR 3 lies outside H5, RCC5's maximal
+    # tractable class, so no RCC8 subalgebra may stand in for it
+    net = Network(RCC5, 3)
+    net[0, 1] = "PP|PPi"
+    net[1, 2] = "PP|PPi"
+    net[0, 2] = "DR"
+    scene = Network(RCC8, 3)
+    scene[0, 1] = "NTPP"
+    for nets, subs in (((net, example1), (d8_41(), d8_64())),
+                       ((scene,), (d5_14(), d5_20(), h5()))):
+        for a in nets:
+            for sub in subs:
+                for run in (core_algorithm1, prime):
+                    with pytest.raises(
+                            NetworkShapeError,
+                            match="subalgebra from a different calculus"):
+                        run(a, subalgebra=sub)
+
+
+def test_prime_detects_once(monkeypatch):
+    net = next(gen.all_different_instances(d8_41(), 1, seed=43,
+                                           n_lo=9, n_hi=10))
+    calls = []
+    fit = redundancy._fit
+
+    def counting(*args):
+        calls.append(args[1])
+        return fit(*args)
+
+    monkeypatch.setattr(redundancy, "_fit", counting)
+    assert prime(net).method == "algorithm1"
+    # one detection; core_algorithm1 only checks the subalgebra it is given
+    assert calls == [None, d8_41()]
 
 
 def test_core_algorithm1_nested_scenario():
