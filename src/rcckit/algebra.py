@@ -132,9 +132,6 @@ class Subalgebra:
     def __hash__(self) -> int:
         return hash((self.calculus.name, self.members))
 
-    def __le__(self, other: "Subalgebra") -> bool:
-        return self.members <= other.members
-
     def __repr__(self) -> str:
         label = self.name or "unnamed"
         return (f"Subalgebra({self.calculus.name}, {label}, "

@@ -37,10 +37,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .calculus import RCC8, Relation
 from .errors import (CalculusMismatchError, GeometryError,
                      InconsistentNetworkError)
-from .network import Network, _unsavable
+from .network import Network, _unsavable, _upper_pairs
 
 __all__ = [
     "Region",
@@ -393,11 +395,27 @@ def rcc8_relation(a: Region, b: Region) -> Relation:
     return Relation(RCC8, RCC8.parse(name))
 
 
+def _apart(regions: Sequence[Region]) -> np.ndarray:
+    """:meth:`BoundingBox.disjoint` for every pair of regions at once, as
+    a symmetric n-by-n boolean matrix."""
+    corners = [(r.bbox.xmin, r.bbox.ymin, r.bbox.xmax, r.bbox.ymax)
+               for r in regions]
+    try:
+        boxes = np.array(corners, dtype=np.int64)
+    except OverflowError:  # past 64 bits, compare exact Python ints
+        boxes = np.array(corners, dtype=object)
+    lo, hi = boxes[:, :2], boxes[:, 2:]
+    # below[i, j]: box i ends strictly before box j starts on some axis
+    below = (hi[:, None, :] < lo[None, :, :]).any(axis=2)
+    return below | below.T
+
+
 def scenario_from_regions(regions: Sequence[Region]) -> Network:
     """Complete basic RCC8 network of a region list.
 
-    Pairs with disjoint bounding boxes are set to DC without running the
-    exact predicates.
+    Pairs whose bounding boxes are apart (:func:`_apart`) are set to DC
+    without running the exact predicates; the others, listed by
+    :func:`network._upper_pairs`, take :func:`rcc8_relation`.
     """
     if len(regions) < 2:
         raise GeometryError("a scenario needs at least two regions")
@@ -405,13 +423,11 @@ def scenario_from_regions(regions: Sequence[Region]) -> Network:
     if len(set(ids)) != len(ids):
         raise GeometryError("duplicate region ids")
     net = Network(RCC8, len(regions), ids)
-    dc = RCC8.parse("DC")
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            if regions[i].bbox.disjoint(regions[j].bbox):
-                net.set_mask(i, j, dc)
-            else:
-                net.set_mask(i, j, rcc8_relation(regions[i], regions[j]).mask)
+    apart = _apart(regions)
+    # DC is its own converse, so one symmetric write keeps the invariant
+    net.matrix[apart] = RCC8.parse("DC")
+    for i, j in _upper_pairs(~apart):
+        net.set_mask(i, j, rcc8_relation(regions[i], regions[j]).mask)
     return net
 
 
@@ -432,14 +448,9 @@ def hybrid_reconstitute(prime: Network, regions: Sequence[Region]) -> Network:
     if set(prime.labels) != set(by_id) or len(by_id) != len(regions):
         raise GeometryError("region ids do not match the network labels")
     seeded = prime.copy()
-    dc = RCC8.parse("DC")
-    star = RCC8.universal
-    for i in range(prime.n):
-        bi = by_id[prime.labels[i]].bbox
-        for j in range(i + 1, prime.n):
-            if seeded.mask(i, j) == star \
-                    and bi.disjoint(by_id[prime.labels[j]].bbox):
-                seeded.set_mask(i, j, dc)
+    apart = _apart([by_id[label] for label in prime.labels])
+    seeded.matrix[apart & (seeded.matrix == RCC8.universal)] = \
+        RCC8.parse("DC")
     res = a_closure(seeded)
     if not res.consistent:
         raise InconsistentNetworkError(

@@ -142,24 +142,12 @@ class Network:
         return out
 
     def constraint_pairs(self) -> Iterator[tuple[int, int]]:
-        """Non-universal pairs (i, j) with i < j."""
-        star = self.calculus.universal
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.matrix[i, j] != star:
-                    yield (i, j)
+        """Non-universal pairs (i, j) with i < j, row-major, listed by
+        :func:`_upper_pairs` when the call is made."""
+        return iter(_upper_pairs(self.matrix != self.calculus.universal))
 
     def constraint_count(self) -> int:
-        return sum(1 for _ in self.constraint_pairs())
-
-    @property
-    def is_basic(self) -> bool:
-        """Every off-diagonal entry is a single basic relation or universal."""
-        m = self.matrix.astype(np.int64)
-        off = ~np.eye(self.n, dtype=bool)
-        single = (m & (m - 1)) == 0
-        return bool(((m == self.calculus.universal) | single)[off].all()
-                    and (m[off] != 0).all())
+        return len(_upper_pairs(self.matrix != self.calculus.universal))
 
     @property
     def is_scenario(self) -> bool:
@@ -311,8 +299,9 @@ def save(net: Network) -> str:
     default = tuple(f"v{i + 1}" for i in range(net.n))
     if net.labels != default:
         lines.append("labels " + " ".join(net.labels))
+    rows = net.matrix.tolist()
     for i, j in net.constraint_pairs():
-        lines.append(f"{i + 1} {j + 1} {net.calculus.format(net.mask(i, j))}")
+        lines.append(f"{i + 1} {j + 1} {net.calculus.format(rows[i][j])}")
     return "\n".join(lines) + "\n"
 
 
@@ -322,13 +311,14 @@ def dump(net: Network, path) -> None:
 
 
 def to_json(net: Network) -> dict:
+    rows = net.matrix.tolist()
     return {
         "schema": 1,
         "calculus": net.calculus.name,
         "vars": net.n,
         "labels": list(net.labels),
         "constraints": [
-            [i + 1, j + 1, net.calculus.format(net.mask(i, j))]
+            [i + 1, j + 1, net.calculus.format(rows[i][j])]
             for i, j in net.constraint_pairs()
         ],
     }
@@ -422,10 +412,10 @@ def remove_constraint(net: Network, i: int, j: int) -> Network:
     return out
 
 
-def _eq_pairs(calc: Calculus, m: np.ndarray) -> list[tuple[int, int]]:
-    """The pairs i < j, row-major, whose entry of the mask matrix m is EQ:
-    the entailed equalities when m is closed over a tractable subclass."""
-    rows, cols = np.nonzero(np.triu(m == calc.identity, k=1))
+def _upper_pairs(where: np.ndarray) -> list[tuple[int, int]]:
+    """The pairs i < j, row-major, where the boolean n-by-n matrix
+    ``where`` is true, as Python ints."""
+    rows, cols = np.nonzero(np.triu(where, k=1))
     return list(zip(rows.tolist(), cols.tolist()))
 
 
@@ -479,6 +469,6 @@ def amalgamate(net: Network, eq_classes: Iterable[Iterable]) -> Network:
                     "amalgamation produced an empty relation")
             out.set_mask(a, b, mask)
     check = a_closure(out)
-    if check.consistent and _eq_pairs(net.calculus, check.network.matrix):
+    if check.consistent and _upper_pairs(check.network.matrix == eq):
         raise NetworkShapeError("classes do not cover all entailed equalities")
     return out

@@ -45,7 +45,7 @@ from .errors import (
     MembershipError,
     NetworkShapeError,
 )
-from .network import Network, _eq_pairs, restrict
+from .network import Network, _upper_pairs, restrict
 
 __all__ = [
     "AClosureResult",
@@ -523,7 +523,7 @@ def all_different(net: Network, subclass: Subalgebra = None) -> AllDifferentResu
     if not res.consistent:
         raise InconsistentNetworkError(
             "inconsistent network: it entails everything")
-    pairs = _eq_pairs(net.calculus, res.network.matrix)
+    pairs = _upper_pairs(res.network.matrix == net.calculus.identity)
     return AllDifferentResult(not pairs, pairs)
 
 

@@ -39,7 +39,7 @@ from .errors import (
     NetworkShapeError,
     NotAllDifferentError,
 )
-from .network import Network, _eq_pairs, remove_constraint
+from .network import Network, _upper_pairs, remove_constraint
 from .reasoning import (
     DEFAULT_GUARD,
     _basic_pins,
@@ -165,10 +165,12 @@ def prime(net: Network, order: Sequence[tuple[int, int]] = None,
           guard: int = DEFAULT_GUARD) -> RedundancyReport:
     """A prime subnetwork, by the engine the module docstring describes;
     the report's ``method`` is ``algorithm1`` or ``iterative``.  The fold
-    is preceded by one consistency check."""
-    if order is None and (
-            sub := _fit(net, subalgebra, _maximal)) is not None:
-        return core_algorithm1(net, sub)
+    is preceded by one consistency check.  A given subalgebra is fitted
+    first (:func:`reasoning._fit`), whichever engine then runs."""
+    if order is None or subalgebra is not None:
+        sub = _fit(net, subalgebra, _maximal)
+        if order is None and sub is not None:
+            return core_algorithm1(net, sub)
     if not is_consistent(net, guard=guard):
         raise InconsistentNetworkError(_NEEDS_CONSISTENT)
     return _report(net, prime_iterative(net, order, guard=guard), "iterative")
@@ -195,7 +197,7 @@ def core_algorithm1(net: Network,
     witness, _, _, q = _close(calc, closed)
     if witness is not None:
         raise InconsistentNetworkError(_NEEDS_CONSISTENT)
-    equal = _eq_pairs(calc, closed)
+    equal = _upper_pairs(closed == calc.identity)
     if equal:
         raise NotAllDifferentError(
             f"entailed equalities at {equal}; amalgamate them first")
@@ -212,14 +214,9 @@ def _report(net: Network, out: Network, method: str,
     universal: the universal pairs of each, above the diagonal."""
     star = net.calculus.universal
     return RedundancyReport(
-        redundant=_pairs(np.triu(out.matrix == star, k=1)),
-        trivially_redundant=_pairs(np.triu(net.matrix == star, k=1)),
+        redundant=set(_upper_pairs(out.matrix == star)),
+        trivially_redundant=set(_upper_pairs(net.matrix == star)),
         method=method, checks=checks, network=out)
-
-
-def _pairs(mask: np.ndarray) -> set:
-    """The (i, j) positions of a boolean matrix's true entries."""
-    return set(zip(*(ix.tolist() for ix in np.nonzero(mask))))
 
 
 def equivalent(a: Network, b: Network, guard: int = DEFAULT_GUARD) -> bool:
@@ -256,10 +253,11 @@ def weaken_scenario(scenario: Network, sub: Subalgebra, rng: random.Random,
     calc = scenario.calculus
     if sub.calculus is not calc:
         raise NetworkShapeError("subalgebra from a different calculus")
+    rows = scenario.matrix.tolist()
     out = scenario.copy()
     for i in range(scenario.n):
         for j in range(i + 1, scenario.n):
-            mask = scenario.mask(i, j)
+            mask = rows[i][j]
             for _ in range(rng.randint(0, max_extra)):
                 mask |= 1 << rng.randrange(calc.size)
             member = sub.smallest_member(mask)

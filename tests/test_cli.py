@@ -196,6 +196,50 @@ def test_a_subalgebra_of_the_other_calculus_exits_2(capsys, tmp_path, argv):
     assert err == "error: subalgebra from a different calculus\n"
 
 
+# one argument contract: each bad input exits 2 with one message, whichever
+# subcommand and engine path receives it
+_BAD_INPUTS = {
+    # closure over an RCC8 subalgebra proves nothing about an RCC5 file
+    "other-calculus": ("calculus RCC5\nvars 3\n1 2 PP|PPi\n2 3 PP|PPi\n"
+                       "1 3 DR\n", "subalgebra from a different calculus"),
+    "outside": ("calculus RCC8\nvars 3\n1 2 DC|PO\n2 3 DC|PO\n1 3 DC|PO\n",
+                "entries outside D8_41: DC|PO"),
+    # NTPP composed with NTPP forces NTPP, so 1 DC 3 empties the triangle
+    "inconsistent": ("calculus RCC8\nvars 3\n1 2 NTPP\n2 3 NTPP\n1 3 DC\n",
+                     "a prime subnetwork needs a consistent network"),
+    "malformed": ("calculus RCC8\nvars 3\n1 2 NOPE\n",
+                  "line 3: unknown RCC8 basic relation 'NOPE'"),
+}
+_PATHS = {
+    "consistent": ("consistent", "{net}", "--subalgebra", "D8_41"),
+    "prime": ("prime", "{net}", "--subalgebra", "D8_41"),
+    "prime-order": ("prime", "{net}", "--order", "1-2,2-3,1-3",
+                    "--subalgebra", "D8_41"),
+    # bench weakens its own RCC8 scenarios, so only the subalgebra can be bad
+    "bench": ("bench", "--sizes", "5", "--subalgebra", "D5_20"),
+}
+_CONTRACT = [
+    ("consistent", "other-calculus"), ("consistent", "outside"),
+    ("consistent", "malformed"),
+    ("prime", "other-calculus"), ("prime", "outside"),
+    ("prime", "inconsistent"), ("prime", "malformed"),
+    ("prime-order", "other-calculus"), ("prime-order", "outside"),
+    ("prime-order", "inconsistent"), ("prime-order", "malformed"),
+    ("bench", "other-calculus"),
+]
+
+
+@pytest.mark.parametrize("path,bad", _CONTRACT,
+                         ids=[f"{p}-{b}" for p, b in _CONTRACT])
+def test_every_engine_path_exits_2_on_bad_input(capsys, tmp_path, path, bad):
+    text, message = _BAD_INPUTS[bad]
+    net = tmp_path / "input.net"
+    net.write_text(text)
+    argv = [arg.format(net=net) for arg in _PATHS[path]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_subalgebra_choices_are_the_name_table(capsys):
     from pathlib import Path
 

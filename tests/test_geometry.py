@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_network import _loop_constraint_pairs
 
-from rcckit import RCC8, geometry
+from rcckit import RCC8, Network, geometry
 from rcckit.errors import GeometryError, InconsistentNetworkError
 from rcckit.geometry import (
     BoundingBox,
@@ -20,6 +21,7 @@ from rcckit.geometry import (
     regions_from_json,
     regions_to_json,
     scenario_from_regions,
+    _apart,
     _convex_relation,
     _general_relation,
 )
@@ -320,6 +322,95 @@ def test_bounding_box_prefilter_soundness():
     assert disjoint
     for i, j in disjoint:
         assert rcc8_relation(regs[i], regs[j]).mask == dc == net.mask(i, j)
+
+
+def _loop_scenario(regions):
+    """The per-pair loop that built a scenario before ``_apart``, kept as
+    the reference; also the pairs it ran the exact predicates on."""
+    net = Network(RCC8, len(regions), [r.id for r in regions])
+    exact = []
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            if regions[i].bbox.disjoint(regions[j].bbox):
+                net.set_mask(i, j, RCC8.parse("DC"))
+            else:
+                exact.append((i, j))
+                net.set_mask(i, j, rcc8_relation(regions[i], regions[j]).mask)
+    return net, exact
+
+
+def _loop_reconstitute(prime, regions):
+    """The per-pair DC seeding loop of ``hybrid_reconstitute`` before
+    ``_apart``, then the same closure, kept as the reference."""
+    by_id = {r.id: r for r in regions}
+    seeded = prime.copy()
+    for i in range(prime.n):
+        bi = by_id[prime.labels[i]].bbox
+        for j in range(i + 1, prime.n):
+            if seeded.mask(i, j) == RCC8.universal \
+                    and bi.disjoint(by_id[prime.labels[j]].bbox):
+                seeded.set_mask(i, j, RCC8.parse("DC"))
+    return a_closure(seeded).network
+
+
+@pytest.mark.parametrize("profile", ["nested", "mixed", "scattered"])
+def test_pair_helpers_match_the_pair_loops(monkeypatch, profile):
+    regs = generate_regions(60, 7, profile)
+    want, exact = _loop_scenario(regs)
+    calls = []
+
+    def recording(a, b):
+        calls.append((regs.index(a), regs.index(b)))
+        return rcc8_relation(a, b)
+
+    monkeypatch.setattr(geometry, "rcc8_relation", recording)
+    scenario = scenario_from_regions(regs)
+    monkeypatch.undo()
+    # the same network, and the exact predicates on the same pairs in order
+    assert scenario == want and calls == exact
+    if profile == "scattered":
+        assert len(exact) < 0.5 * 60 * 59 / 2  # most pairs are apart
+    prime = core_algorithm1(scenario).network
+    assert list(prime.constraint_pairs()) \
+        == list(_loop_constraint_pairs(prime))
+    # widen the kept DC edges between apart boxes: they are not universal,
+    # so neither engine may seed them
+    widened = prime.copy()
+    apart = [(i, j) for i, j in prime.constraint_pairs()
+             if regs[i].bbox.disjoint(regs[j].bbox)]
+    for i, j in apart:
+        widened[i, j] = "DC|EC"
+    shuffled = random.Random(3).sample(regs, len(regs))
+    for net in (prime, widened):
+        assert hybrid_reconstitute(net, shuffled) \
+            == _loop_reconstitute(net, shuffled)
+
+
+def _box_pairs_agree(regs):
+    apart = _apart(regs)
+    assert apart.shape == (len(regs), len(regs)) and apart.dtype == bool
+    return all(apart[i, j] == regs[i].bbox.disjoint(regs[j].bbox)
+               for i in range(len(regs)) for j in range(len(regs)))
+
+
+def test_apart_is_bounding_box_disjointness_on_every_pair():
+    a = square("a", 0, 0, 2)
+    touching = [square("edge", 2, 0, 2), square("corner", 2, 2, 2),
+                square("top", 0, 2, 2)]
+    others = [square("inside", 0, 0, 1), square("overlap", 1, 1, 2),
+              square("right", 5, 0, 1), square("above", 0, 5, 1),
+              square("diagonal", 3, 3, 1), square("left", -4, 0, 1)]
+    regs = [a, *touching, *others]
+    assert _box_pairs_agree(regs)
+    assert not _apart(regs)[0, 1:4].any()  # touching boxes are not apart
+    assert _box_pairs_agree([a, square("b", 10, 0, 2)])
+    assert _box_pairs_agree([a, touching[0]])
+    for profile in ("nested", "mixed", "scattered"):
+        assert _box_pairs_agree(generate_regions(60, 7, profile))
+    # coordinates past 64 bits stay exact
+    big = 2 ** 70
+    assert _box_pairs_agree([square("p", big, 0, 2), square("q", big + 2, 0, 2),
+                             square("r", big + 3, 0, 2), square("s", -big, 0, 1)])
 
 
 def test_scenario_from_regions_validations():

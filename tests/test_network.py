@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import util_instances as gen
 from rcckit import RCC5, RCC8, Network
 from rcckit.errors import (
     ConverseConflictError,
@@ -294,6 +295,25 @@ def test_save_loads_round_trip(net):
 @given(_any_networks())
 def test_json_round_trip_property(net):
     assert from_json(json.loads(json.dumps(to_json(net)))) == net
+
+
+def _loop_constraint_pairs(net):
+    """The per-pair loop that listed constraint pairs before
+    ``_upper_pairs``, kept as the reference."""
+    star = net.calculus.universal
+    for i in range(net.n):
+        for j in range(i + 1, net.n):
+            if net.matrix[i, j] != star:
+                yield (i, j)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gen.networks())
+def test_constraint_pairs_match_the_pair_loop(net):
+    pairs = list(net.constraint_pairs())
+    assert pairs == list(_loop_constraint_pairs(net))
+    assert net.constraint_count() == len(pairs)
+    assert all(type(i) is int and type(j) is int for i, j in pairs)
 
 
 def test_refines():
