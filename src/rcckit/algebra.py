@@ -109,6 +109,12 @@ class Subalgebra:
     def smallest_member(self, mask: int) -> Optional[int]:
         """Smallest member containing ``mask`` (sets closed under
         intersection have a unique one), or None."""
+        got = int(self.smallest_members(mask, -1))
+        return None if got < 0 else got
+
+    def smallest_members(self, masks: np.ndarray, default: int) -> np.ndarray:
+        """:meth:`smallest_member` of each mask in an integer array, with
+        ``default`` where no member contains the mask."""
         if self._cover is None:
             n = 1 << self.calculus.size
             arr = np.array(sorted(self.members), dtype=np.uint16)
@@ -118,8 +124,8 @@ class Subalgebra:
                 if sel.size:
                     cover[m] = np.bitwise_and.reduce(sel)
             self._cover = cover
-        got = int(self._cover[mask])
-        return None if got < 0 else got
+        got = self._cover[masks]
+        return np.where(got < 0, default, got)
 
     def __len__(self) -> int:
         return len(self.members)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import algebra, baselines, geometry, network, reasoning, redundancy
 from .calculus import RCC5, RCC8, get_calculus, verify_relation_algebra
-from .errors import RccError
+from .errors import GeometryError, RccError
 
 SCHEMA = 2
 
@@ -249,9 +249,14 @@ def cmd_compare(args):
     return 0
 
 
+def _load_regions(path):
+    """The regions of a region file; one that is not UTF-8 raises
+    GeometryError, as a malformed one does."""
+    return geometry.regions_from_json(network._read_text(path, GeometryError))
+
+
 def cmd_geom2net(args):
-    with open(args.regions, encoding="utf-8") as fh:
-        regions = geometry.regions_from_json(fh.read())
+    regions = _load_regions(args.regions)
     net = geometry.scenario_from_regions(regions)
     artifacts = _write_or_print(args, network.save(net), args.out)
     _report(args, "geom2net", "ok",
@@ -261,8 +266,7 @@ def cmd_geom2net(args):
 
 def cmd_reconstitute(args):
     net = network.load(args.net)
-    with open(args.regions, encoding="utf-8") as fh:
-        regions = geometry.regions_from_json(fh.read())
+    regions = _load_regions(args.regions)
     full = geometry.hybrid_reconstitute(net, regions)
     artifacts = _write_or_print(args, network.save(full), args.out)
     _report(args, "reconstitute", "ok", artifacts=artifacts,

@@ -24,7 +24,9 @@ is vertex containment.
 Only a pair with a non-convex region takes the general predicates:
 boundary sub-segments (each polygon's edges split at every crossing with
 the other's boundary, at rational parameters) are classified, plus one
-guaranteed interior sample point per polygon.
+guaranteed interior sample point per polygon.  The same walk decides
+contact: the boundaries meet exactly when it splits an edge or finds a
+vertex on the other boundary.
 """
 
 from __future__ import annotations
@@ -68,14 +70,22 @@ def _on_segment(p, a, b) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
+def _edges(ring):
+    """The ring's edges (a, b) in order, the closing one included."""
+    return zip(ring, ring[1:] + ring[:1])
+
+
+def _proper(d1, d2, d3, d4) -> bool:
+    """Given the sides of p and q about line ab (d1, d2) and of a and b
+    about line pq (d3, d4): do segments pq and ab cross at one point
+    inside both?"""
+    return d1 * d2 < 0 and d3 * d4 < 0
+
+
 def _segments_touch(p, q, a, b) -> bool:
     """Do closed segments pq and ab share any point?"""
-    d1 = _orient(a, b, p)
-    d2 = _orient(a, b, q)
-    d3 = _orient(p, q, a)
-    d4 = _orient(p, q, b)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) \
-            and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+    if _proper(_orient(a, b, p), _orient(a, b, q),
+               _orient(p, q, a), _orient(p, q, b)):
         return True
     return (_on_segment(p, a, b) or _on_segment(q, a, b)
             or _on_segment(a, p, q) or _on_segment(b, p, q))
@@ -89,24 +99,14 @@ def _param_on(p, q, r) -> Fraction:
 
 
 def _split_params(p, q, ring) -> list[Fraction]:
-    """Parameters in (0,1) where segment pq meets the ring's boundary."""
+    """Parameters in (0,1) where segment pq meets the ring's boundary:
+    proper crossings, and the ring's vertices on pq, which include the
+    ends of every collinear overlap."""
     ts = set()
-    m = len(ring)
-    for i in range(m):
-        a, b = ring[i], ring[(i + 1) % m]
+    for a, b in _edges(ring):
         d1 = _orient(a, b, p)
         d2 = _orient(a, b, q)
-        d3 = _orient(p, q, a)
-        d4 = _orient(p, q, b)
-        if d1 == 0 and d2 == 0:
-            # collinear: clamp the overlap of ab onto pq
-            for r in (a, b):
-                t = _param_on(p, q, r)
-                if 0 < t < 1:
-                    ts.add(t)
-            continue
-        if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) \
-                and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        if _proper(d1, d2, _orient(p, q, a), _orient(p, q, b)):
             ts.add(Fraction(d1, d1 - d2))
             continue
         for r in (a, b):
@@ -117,22 +117,24 @@ def _split_params(p, q, ring) -> list[Fraction]:
     return sorted(ts)
 
 
+def _scanline(ring, y) -> list[Fraction]:
+    """The x values where the ring's edges cross the horizontal line at
+    height y, half-open: an edge counts when one end lies above the line
+    and the other does not."""
+    return [a[0] + Fraction(y - a[1], b[1] - a[1]) * (b[0] - a[0])
+            for a, b in _edges(ring) if (a[1] > y) != (b[1] > y)]
+
+
+def _on_boundary(pt, ring) -> bool:
+    """Does pt lie on the ring's boundary?"""
+    return any(_on_segment(pt, a, b) for a, b in _edges(ring))
+
+
 def _point_side(pt, ring) -> int:
     """1 strictly inside, 0 on the boundary, -1 strictly outside."""
-    x, y = pt
-    m = len(ring)
-    for i in range(m):
-        a, b = ring[i], ring[(i + 1) % m]
-        if _on_segment(pt, a, b):
-            return 0
-    crossings = 0
-    for i in range(m):
-        a, b = ring[i], ring[(i + 1) % m]
-        if (a[1] > y) == (b[1] > y):
-            continue
-        x_cross = a[0] + Fraction(y - a[1], b[1] - a[1]) * (b[0] - a[0])
-        if x < x_cross:
-            crossings += 1
+    if _on_boundary(pt, ring):
+        return 0
+    crossings = sum(pt[0] < x for x in _scanline(ring, pt[1]))
     return 1 if crossings % 2 else -1
 
 
@@ -143,14 +145,7 @@ def _interior_point(ring) -> tuple[Fraction, Fraction]:
     vertices, where no vertex can interfere."""
     ys = sorted({p[1] for p in ring})
     y = Fraction(ys[0] + ys[1], 2)
-    xs = []
-    m = len(ring)
-    for i in range(m):
-        a, b = ring[i], ring[(i + 1) % m]
-        if (a[1] > y) == (b[1] > y):
-            continue
-        xs.append(a[0] + Fraction(y - a[1], b[1] - a[1]) * (b[0] - a[0]))
-    xs.sort()
+    xs = sorted(_scanline(ring, y))
     return (Fraction(xs[0] + xs[1], 2), y)
 
 
@@ -158,13 +153,9 @@ def _turns(ring) -> int:
     """Full turns of the edge direction around a ring that never turns
     right: the times it passes from the lower half-plane of directions
     into the upper one, [0, pi)."""
-    m = len(ring)
-    upper = []
-    for i in range(m):
-        dx = ring[(i + 1) % m][0] - ring[i][0]
-        dy = ring[(i + 1) % m][1] - ring[i][1]
-        upper.append(dy > 0 or (dy == 0 and dx > 0))
-    return sum(upper[i] and not upper[i - 1] for i in range(m))
+    upper = [b[1] > a[1] or (b[1] == a[1] and b[0] > a[0])
+             for a, b in _edges(ring)]
+    return sum(upper[i] and not upper[i - 1] for i in range(len(upper)))
 
 
 def _axis(p, q) -> tuple[int, int]:
@@ -223,9 +214,7 @@ class Region:
             raise GeometryError(f"region {id!r}: fewer than 3 vertices")
         if len(set(ring)) != len(ring):
             raise GeometryError(f"region {id!r}: repeated vertex")
-        area2 = sum(ring[i][0] * ring[(i + 1) % len(ring)][1]
-                    - ring[(i + 1) % len(ring)][0] * ring[i][1]
-                    for i in range(len(ring)))
+        area2 = sum(a[0] * b[1] - b[0] * a[1] for a, b in _edges(ring))
         if area2 == 0:
             raise GeometryError(f"region {id!r}: zero area")
         if area2 < 0:
@@ -245,7 +234,7 @@ class Region:
         self.axes: tuple[tuple[int, int], ...] = ()
         if self.convex:
             self.axes = tuple(dict.fromkeys(
-                _axis(ring[i], ring[(i + 1) % m]) for i in range(m)))
+                _axis(a, b) for a, b in _edges(ring)))
         self._extents = None
         self._interior = None
 
@@ -293,14 +282,17 @@ class Region:
 def _boundary_probe(ring_a, ring_b):
     """Classify the boundary of a against region b.
 
-    Returns (any piece strictly inside b, any piece strictly outside b)."""
-    some_in = False
-    some_out = False
-    for i in range(len(ring_a)):
-        p, q = ring_a[i], ring_a[(i + 1) % len(ring_a)]
-        ts = [Fraction(0)] + _split_params(p, q, ring_b) + [Fraction(1)]
-        for k in range(len(ts) - 1):
-            t = (ts[k] + ts[k + 1]) / 2
+    Returns (any piece strictly inside b, any piece strictly outside b,
+    the boundaries meet).  They meet exactly when an edge of a is split
+    at b's boundary or a vertex of a lies on it; a boundary with pieces
+    on both sides of b crosses it, so the early exit meets too."""
+    some_in = some_out = touch = False
+    for p, q in _edges(ring_a):
+        splits = _split_params(p, q, ring_b)
+        touch = touch or bool(splits) or _on_boundary(p, ring_b)
+        ts = [Fraction(0)] + splits + [Fraction(1)]
+        for t0, t1 in zip(ts, ts[1:]):
+            t = (t0 + t1) / 2
             mid = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
             side = _point_side(mid, ring_b)
             if side > 0:
@@ -308,8 +300,8 @@ def _boundary_probe(ring_a, ring_b):
             elif side < 0:
                 some_out = True
             if some_in and some_out:
-                return True, True
-    return some_in, some_out
+                return True, True, True
+    return some_in, some_out, touch
 
 
 def _along(ext, other: Region, out: dict) -> str | None:
@@ -358,17 +350,8 @@ def _convex_relation(a: Region, b: Region) -> str:
 
 def _general_relation(a: Region, b: Region) -> str:
     ra, rb = a.ring, b.ring
-    touch = False
-    for i in range(len(ra)):
-        p, q = ra[i], ra[(i + 1) % len(ra)]
-        for j in range(len(rb)):
-            if _segments_touch(p, q, rb[j], rb[(j + 1) % len(rb)]):
-                touch = True
-                break
-        if touch:
-            break
-    a_mid_in, a_mid_out = _boundary_probe(ra, rb)
-    b_mid_in, b_mid_out = _boundary_probe(rb, ra)
+    a_mid_in, a_mid_out, touch = _boundary_probe(ra, rb)
+    b_mid_in, b_mid_out, _ = _boundary_probe(rb, ra)
     ip_a = _point_side(a.interior_point(), rb)
     ip_b = _point_side(b.interior_point(), ra)
     a_in_b = not a_mid_out and not b_mid_in and ip_a >= 0

@@ -288,9 +288,18 @@ def _record(given: dict, calc: Calculus, i: int, j: int, mask: int,
             f"from {kind} {prev_place}", line)
 
 
+def _read_text(path, error=NetworkFormatError) -> str:
+    """A UTF-8 file's text; a file that is not UTF-8 raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 ({e.reason} at byte {e.start})") \
+            from None
+
+
 def load(path) -> Network:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    return loads(_read_text(path))
 
 
 def save(net: Network) -> str:
@@ -424,8 +433,9 @@ def amalgamate(net: Network, eq_classes: Iterable[Iterable]) -> Network:
 
     ``eq_classes`` must partition the variables, and within each class
     every pairwise a-closure entry must be exactly EQ.  The first member
-    of each class becomes its representative; entries between classes are
-    the intersections of the a-closure entries, so the result is an
+    of each class becomes its representative; the entry between two
+    classes is the intersection of the input's entries between their
+    members, which every solution equates, so the result is an
     equivalent all-different network.
     """
     from .reasoning import a_closure  # local import: reasoning builds on network

@@ -3,9 +3,10 @@
 A constraint is redundant when the rest of the network entails it; the
 core is the set of non-redundant constraints.  :func:`prime` picks the
 engine for a prime subnetwork: a given removal order runs the fold,
-:func:`prime_iterative`; a given subalgebra, or a detected distributive
-one, runs :func:`core_algorithm1`; anything else runs the fold.  Either
-way an inconsistent input raises :class:`InconsistentNetworkError`.
+:func:`prime_iterative`; a detected distributive subalgebra, or a given
+one that lies inside a maximal distributive one, runs
+:func:`core_algorithm1`; anything else runs the fold.  Either way an
+inconsistent input raises :class:`InconsistentNetworkError`.
 
 Over a distributive subalgebra an all-different network has a unique
 prime subnetwork, equal to its core, and it is computed in cubic time by
@@ -17,6 +18,8 @@ changes nothing (``reasoning._close``): it meets over a universal
 diagonal, and * . r = r . * = * for every nonempty r, so the k = i and
 k = j terms drop out of the meet.  A given subalgebra must be of the
 network's own calculus: closure over one of the other proves nothing.
+The Q test is proved only for distributive subalgebras, so a given one
+outside every maximal distributive subalgebra (H5, say) runs the fold.
 
 :func:`prime_iterative` is the general fold that removes redundant
 constraints one at a time in a caller-chosen order; on distributive
@@ -169,7 +172,7 @@ def prime(net: Network, order: Sequence[tuple[int, int]] = None,
     first (:func:`reasoning._fit`), whichever engine then runs."""
     if order is None or subalgebra is not None:
         sub = _fit(net, subalgebra, _maximal)
-        if order is None and sub is not None:
+        if order is None and sub is not None and _inside_maximal(sub):
             return core_algorithm1(net, sub)
     if not is_consistent(net, guard=guard):
         raise InconsistentNetworkError(_NEEDS_CONSISTENT)
@@ -182,15 +185,17 @@ def core_algorithm1(net: Network,
     cubic time, together with its unique prime subnetwork.
 
     Requires a consistent, all-different network whose entries lie in a
-    distributive subalgebra (auto-detected among the built-ins when not
-    given).  An explicitly passed tractable subalgebra of the network's
-    calculus is accepted as an override; uniqueness of the result is
-    guaranteed only for distributive ones.
+    distributive subalgebra: detected among the maximal ones when not
+    given, and inside one of them when given.
     """
-    if _fit(net, subalgebra, _maximal) is None:
+    sub = _fit(net, subalgebra, _maximal)
+    if sub is None:
         raise MembershipError(
-            "entries do not fit a built-in distributive subalgebra; "
-            "pass one explicitly to override")
+            "entries do not fit a built-in distributive subalgebra")
+    if not _inside_maximal(sub):
+        raise MembershipError(
+            f"{sub.name or 'the subalgebra'} lies in no maximal distributive "
+            "subalgebra; Algorithm 1 needs a distributive one")
     calc = net.calculus
     n = net.n
     closed = net.matrix.copy()
@@ -206,6 +211,12 @@ def core_algorithm1(net: Network,
     out = net.copy()
     out.matrix[redundant | redundant.T] = calc.universal
     return _report(net, out, "algorithm1", n * (n - 1) * (n - 2) // 2)
+
+
+def _inside_maximal(sub: Subalgebra) -> bool:
+    """Does ``sub`` lie inside a maximal distributive subalgebra, where
+    Algorithm 1's Q test is proved?"""
+    return any(sub.members <= m.members for m in _maximal(sub.calculus))
 
 
 def _report(net: Network, out: Network, method: str,
@@ -253,15 +264,14 @@ def weaken_scenario(scenario: Network, sub: Subalgebra, rng: random.Random,
     calc = scenario.calculus
     if sub.calculus is not calc:
         raise NetworkShapeError("subalgebra from a different calculus")
-    rows = scenario.matrix.tolist()
+    upper = np.triu_indices(scenario.n, k=1)
+    masks = scenario.matrix[upper].tolist()
+    for k in range(len(masks)):
+        for _ in range(rng.randint(0, max_extra)):
+            masks[k] |= 1 << rng.randrange(calc.size)
+    members = sub.smallest_members(np.array(masks, dtype=np.intp),
+                                   calc.universal)
     out = scenario.copy()
-    for i in range(scenario.n):
-        for j in range(i + 1, scenario.n):
-            mask = rows[i][j]
-            for _ in range(rng.randint(0, max_extra)):
-                mask |= 1 << rng.randrange(calc.size)
-            member = sub.smallest_member(mask)
-            if member is None:
-                member = calc.universal
-            out.set_mask(i, j, member)
+    out.matrix[upper] = members
+    out.matrix[upper[::-1]] = calc.conv_table[members]
     return out

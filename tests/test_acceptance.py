@@ -34,7 +34,6 @@ from rcckit.algebra import (
     d5_20,
     d8_41,
     d8_64,
-    h5,
     helly_check,
     is_distributive,
     maximal_distributive,
@@ -59,6 +58,7 @@ from rcckit.redundancy import (
     core_algorithm1,
     equivalent,
     is_redundant,
+    prime,
     prime_iterative,
     weaken_scenario,
 )
@@ -123,14 +123,14 @@ def test_criterion_3_worked_examples(example1, example2):
     for i, j in example1.constraint_pairs():
         if (i, j) != (0, 1):
             assert not is_redundant(example1, i, j)
-    rep = core_algorithm1(example1, h5())
+    rep = prime(example1)
     assert rep.nontrivial == {(0, 1)}
     assert equivalent(example1, rep.network)
     # example 2: EQ-entailed triple, order-dependent primes, core weaker
     res = all_different(example2)
     assert not res and res.eq_pairs == [(0, 1), (0, 2), (1, 2)]
     with pytest.raises(NotAllDifferentError):
-        core_algorithm1(example2, h5())
+        core_algorithm1(example2)
     cycle = [(0, 1), (1, 2), (0, 2)]
     first = prime_iterative(example2, [(0, 3), (1, 3)] + cycle)
     second = prime_iterative(example2, [(1, 3), (0, 3)] + cycle)

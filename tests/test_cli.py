@@ -146,16 +146,56 @@ def test_closure_names_an_empty_input_entry(capsys, tmp_path, n):
     assert code == 1 and json.loads(out)["witness"] == [0, 0, 1]
 
 
-def test_prime_removes_the_redundant_edge(capsys, example1_path, tmp_path):
+def test_prime_removes_the_redundant_edge(capsys, tmp_path):
+    # 1 PP 3 and 3 PP 2 force 1 PP 2, over Bhat5 inside D5_14
+    path = tmp_path / "chain.net"
+    path.write_text("calculus RCC5\nvars 3\n1 2 PP\n1 3 PP\n3 2 PP\n")
     out_path = tmp_path / "prime.net"
-    code, out, _ = run(capsys, "prime", example1_path, "-o", str(out_path),
-                       "--subalgebra", "H5", "--json")
+    code, out, _ = run(capsys, "prime", str(path), "-o", str(out_path),
+                       "--subalgebra", "BHAT5", "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["method"] == "algorithm1"
     assert [1, 2] in doc["removed"]
     net = load(out_path)
     assert net[0, 1].is_universal
+
+
+# H5 is tractable but not distributive, so Algorithm 1's Q test does not
+# hold over it: on this network it would drop the non-redundant 1 DR|PO 5
+_OUTSIDE_D5 = """calculus RCC5
+vars 6
+1 2 DR|PPi
+1 3 DR|PPi|EQ
+1 4 PP|EQ
+1 5 DR|PO
+1 6 PO|PPi
+2 3 PPi|EQ
+2 4 DR|PO|PPi
+2 5 PO|PPi
+2 6 PO|PP
+3 4 PO|PP|PPi|EQ
+3 5 DR|PO
+3 6 DR|PO|PP|EQ
+4 5 DR|PP
+4 6 PO|PPi|EQ
+5 6 DR|PPi|EQ
+"""
+
+
+def test_prime_over_h5_keeps_an_equivalent_network(capsys, tmp_path):
+    from rcckit.redundancy import equivalent, is_redundant
+
+    path = tmp_path / "outside_d5.net"
+    path.write_text(_OUTSIDE_D5)
+    out_path = tmp_path / "prime.net"
+    code, out, _ = run(capsys, "prime", str(path), "-o", str(out_path),
+                       "--subalgebra", "H5", "--json")
+    assert code == 0
+    net, got = load(path), load(out_path)
+    assert not is_redundant(net, 0, 4) and not got[0, 4].is_universal
+    assert equivalent(net, got)
+    assert json.loads(out)["method"] == "iterative"
 
 
 def test_prime_with_explicit_order(capsys, example1_path, tmp_path):
@@ -432,3 +472,40 @@ def test_json_reports_are_stable(capsys, example1_path):
     _, a, _ = run(capsys, "consistent", example1_path, "--json")
     _, b, _ = run(capsys, "consistent", example1_path, "--json")
     assert a == b
+
+
+# every subcommand that reads a file, with {bad} in the place of the file
+# that is not UTF-8 and {net}, {regions} for good ones
+_READS_A_FILE = {
+    "closure": ("closure", "{bad}"),
+    "consistent": ("consistent", "{bad}"),
+    "solve": ("solve", "{bad}"),
+    "entails": ("entails", "{bad}", "1", "2", "DC"),
+    "redundant": ("redundant", "{bad}", "1", "2"),
+    "minimal-check": ("minimal-check", "{bad}"),
+    "prime": ("prime", "{bad}"),
+    "core": ("core", "{bad}"),
+    "compare": ("compare", "{bad}"),
+    "compare-workers": ("compare", "--workers", "2", "{net}", "{bad}"),
+    "geom2net": ("geom2net", "{bad}"),
+    "reconstitute-net": ("reconstitute", "{bad}", "{regions}"),
+    "reconstitute-regions": ("reconstitute", "{net}", "{bad}"),
+}
+
+
+@pytest.mark.parametrize("key", list(_READS_A_FILE))
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, key):
+    regions = tmp_path / "regions.json"
+    net = tmp_path / "scene.net"
+    assert run(capsys, "gen-regions", "-n", "3", "-o", str(regions))[0] == 0
+    assert run(capsys, "geom2net", str(regions), "-o", str(net))[0] == 0
+    bad = tmp_path / "latin1"
+    bad.write_bytes(b'calculus RCC8\nvars 2\n1 2 DC # caf\xe9\n'
+                    if key != "geom2net" and not key.endswith("regions")
+                    else b'{"regions": [{"id": "caf\xe9", "ring": []}]}')
+    argv = [arg.format(bad=bad, net=net, regions=regions)
+            for arg in _READS_A_FILE[key]]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not UTF-8" in err

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -69,13 +70,17 @@ def test_rcc8_relation_converse_symmetry(name, a, b):
     assert rcc8_relation(b, a) == got.converse()
 
 
-def test_c_frame_covering_boundary_is_ec():
-    """A frame whose inner edge coincides with a square's boundary covers
-    the boundary without covering the interior: EC, not containment."""
+def _c_frame_pair():
     frame = Region("frame", [
         (0, 0), (12, 0), (12, 12), (7, 12), (7, 10), (10, 10), (10, 2),
         (2, 2), (2, 10), (5, 10), (5, 12), (0, 12)])
-    inner = Region("inner", [(2, 2), (10, 2), (10, 10), (2, 10)])
+    return frame, Region("inner", [(2, 2), (10, 2), (10, 10), (2, 10)])
+
+
+def test_c_frame_covering_boundary_is_ec():
+    """A frame whose inner edge coincides with a square's boundary covers
+    the boundary without covering the interior: EC, not containment."""
+    frame, inner = _c_frame_pair()
     assert str(rcc8_relation(inner, frame)) == "EC"
     assert str(rcc8_relation(frame, inner)) == "EC"
 
@@ -197,6 +202,189 @@ def test_convex_predicate_matches_general_predicates(pair):
     a, b = pair
     assert a.convex and b.convex
     assert _convex_relation(a, b) == _general_relation(a, b)
+
+
+# -- the general predicate before contact came from the probe walk -------
+# Kept as the reference: a separate touch loop over every pair of edges,
+# a probe that reports only the sides of the pieces, and scanline
+# crossings computed by each caller.
+
+
+def _old_segments_touch(p, q, a, b):
+    orient, on = geometry._orient, geometry._on_segment
+    d1, d2 = orient(a, b, p), orient(a, b, q)
+    d3, d4 = orient(p, q, a), orient(p, q, b)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) \
+            and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        return True
+    return on(p, a, b) or on(q, a, b) or on(a, p, q) or on(b, p, q)
+
+
+def _old_split_params(p, q, ring):
+    orient, on, param = (geometry._orient, geometry._on_segment,
+                         geometry._param_on)
+    ts = set()
+    m = len(ring)
+    for i in range(m):
+        a, b = ring[i], ring[(i + 1) % m]
+        d1, d2 = orient(a, b, p), orient(a, b, q)
+        d3, d4 = orient(p, q, a), orient(p, q, b)
+        if d1 == 0 and d2 == 0:
+            for r in (a, b):
+                t = param(p, q, r)
+                if 0 < t < 1:
+                    ts.add(t)
+            continue
+        if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) \
+                and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+            ts.add(Fraction(d1, d1 - d2))
+            continue
+        for r in (a, b):
+            if on(r, p, q):
+                t = param(p, q, r)
+                if 0 < t < 1:
+                    ts.add(t)
+    return sorted(ts)
+
+
+def _old_point_side(pt, ring):
+    x, y = pt
+    m = len(ring)
+    for i in range(m):
+        if geometry._on_segment(pt, ring[i], ring[(i + 1) % m]):
+            return 0
+    crossings = 0
+    for i in range(m):
+        a, b = ring[i], ring[(i + 1) % m]
+        if (a[1] > y) == (b[1] > y):
+            continue
+        if x < a[0] + Fraction(y - a[1], b[1] - a[1]) * (b[0] - a[0]):
+            crossings += 1
+    return 1 if crossings % 2 else -1
+
+
+def _old_interior_point(ring):
+    ys = sorted({p[1] for p in ring})
+    y = Fraction(ys[0] + ys[1], 2)
+    xs = []
+    m = len(ring)
+    for i in range(m):
+        a, b = ring[i], ring[(i + 1) % m]
+        if (a[1] > y) == (b[1] > y):
+            continue
+        xs.append(a[0] + Fraction(y - a[1], b[1] - a[1]) * (b[0] - a[0]))
+    xs.sort()
+    return (Fraction(xs[0] + xs[1], 2), y)
+
+
+def _old_boundary_probe(ring_a, ring_b):
+    some_in = some_out = False
+    for i in range(len(ring_a)):
+        p, q = ring_a[i], ring_a[(i + 1) % len(ring_a)]
+        ts = [Fraction(0)] + _old_split_params(p, q, ring_b) + [Fraction(1)]
+        for k in range(len(ts) - 1):
+            t = (ts[k] + ts[k + 1]) / 2
+            mid = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            side = _old_point_side(mid, ring_b)
+            if side > 0:
+                some_in = True
+            elif side < 0:
+                some_out = True
+            if some_in and some_out:
+                return True, True
+    return some_in, some_out
+
+
+def _old_general_relation(a, b):
+    ra, rb = a.ring, b.ring
+    touch = any(_old_segments_touch(ra[i], ra[(i + 1) % len(ra)],
+                                    rb[j], rb[(j + 1) % len(rb)])
+                for i in range(len(ra)) for j in range(len(rb)))
+    a_mid_in, a_mid_out = _old_boundary_probe(ra, rb)
+    b_mid_in, b_mid_out = _old_boundary_probe(rb, ra)
+    ip_a = _old_point_side(_old_interior_point(ra), rb)
+    ip_b = _old_point_side(_old_interior_point(rb), ra)
+    a_in_b = not a_mid_out and not b_mid_in and ip_a >= 0
+    b_in_a = not b_mid_out and not a_mid_in and ip_b >= 0
+    if a_in_b and b_in_a:
+        return "EQ"
+    if a_in_b:
+        return "TPP" if touch else "NTPP"
+    if b_in_a:
+        return "TPPi" if touch else "NTPPi"
+    if a_mid_in or b_mid_in or ip_a > 0 or ip_b > 0:
+        return "PO"
+    return "EC" if touch else "DC"
+
+
+def _assert_general_matches_old(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert _general_relation(x, y) == _old_general_relation(x, y)
+        assert x.interior_point() == _old_interior_point(x.ring)
+
+
+@pytest.mark.parametrize("name,a,b", FIXTURES + [("EC", *_c_frame_pair())])
+def test_general_predicate_matches_the_old_walk_on_fixtures(name, a, b):
+    _assert_general_matches_old(a, b)
+    assert _general_relation(a, b) == name
+
+
+def _region_or_reject(id_, ring):
+    try:
+        return Region(id_, ring)
+    except GeometryError:
+        assume(False)
+
+
+@st.composite
+def _star_rings(draw):
+    """A ring through one vertex per direction around a grid point, at
+    random radii: star-shaped, and non-convex when the radii vary."""
+    cx, cy = draw(_GRID)
+    k = draw(st.integers(4, 9))
+    radii = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    ring = [(cx + round(r * math.cos(2 * math.pi * i / k)),
+             cy + round(r * math.sin(2 * math.pi * i / k)))
+            for i, r in enumerate(radii)]
+    return list(dict.fromkeys(ring))
+
+
+@st.composite
+def _any_ring(draw, kinds):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "star":
+        return draw(_star_rings())
+    if kind in ("ell", "frame"):
+        return list(_shape(kind, *draw(_PLACED)).ring)
+    if kind == "triangle":
+        return draw(st.lists(_GRID, min_size=3, max_size=3, unique=True))
+    return draw(_convex_rings())
+
+
+@st.composite
+def _nonconvex_pairs(draw):
+    """Two regions on a small grid, at least one of them non-convex: star
+    rings, L shapes and C-frames, against any shape, a shifted copy
+    (shared edges, collinear overlaps) or the same ring.  Either may come
+    first."""
+    ra = draw(_any_ring(["star", "ell", "frame"]))
+    kind = draw(st.sampled_from(["free", "shifted", "same"]))
+    if kind == "free":
+        rb = draw(_any_ring(["star", "ell", "frame", "triangle", "hull"]))
+    elif kind == "shifted":
+        dx, dy = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+        rb = [(x + dx, y + dy) for x, y in ra]
+    else:
+        rb = ra
+    a, b = _region_or_reject("a", ra), _region_or_reject("b", rb)
+    assume(not (a.convex and b.convex))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_nonconvex_pairs())
+def test_general_predicate_matches_the_old_walk(pair):
+    _assert_general_matches_old(*pair)
 
 
 def test_convex_predicate_uses_integers_only(monkeypatch):

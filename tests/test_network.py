@@ -21,6 +21,7 @@ from rcckit.network import (
     MAX_VARS,
     amalgamate,
     from_json,
+    load,
     loads,
     refines,
     remove_constraint,
@@ -127,6 +128,13 @@ def test_load_errors_carry_line_numbers():
         loads("calculus RCC5\nvars 2\n1 1 DR\n")
     assert "diagonal" in str(err.value)
     loads("calculus RCC5\nvars 2\n1 1 EQ\n")  # diagonal EQ is accepted
+
+
+def test_load_of_a_file_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "latin1.net"
+    path.write_bytes(b"calculus RCC5\nvars 2\n1 2 PP # caf\xe9\n")
+    with pytest.raises(NetworkFormatError, match="not UTF-8"):
+        load(path)
 
 
 def test_converse_conflict_detection():

@@ -9,14 +9,14 @@ from hypothesis import HealthCheck, assume, given, settings
 
 import util_instances as gen
 from rcckit import RCC5, RCC8, Network, reasoning, redundancy
-from rcckit.algebra import d5_14, d5_20, d8_41, d8_64, h5
+from rcckit.algebra import Subalgebra, bhat, d5_14, d5_20, d8_41, d8_64, h5
 from rcckit.errors import (
     InconsistentNetworkError,
     MembershipError,
     NetworkShapeError,
     NotAllDifferentError,
 )
-from rcckit.network import remove_constraint
+from rcckit.network import remove_constraint, save
 from rcckit.reasoning import _meets, a_closure
 from rcckit.redundancy import (
     core,
@@ -100,23 +100,26 @@ def test_prime_iterative_validates_order(example1):
 
 
 def test_core_algorithm1_example1_with_override(example1):
+    # H5 is tractable but not distributive: Algorithm 1's Q test is not
+    # proved over it, so a given H5 is no override and prime folds
     assert detect_distributive(example1) is None
-    with pytest.raises(MembershipError):
-        core_algorithm1(example1)
-    rep = core_algorithm1(example1, h5())
+    for given in (None, h5()):
+        with pytest.raises(MembershipError):
+            core_algorithm1(example1, given)
+    rep = prime(example1, subalgebra=h5())
     assert rep.nontrivial == {(0, 1)}
-    assert rep.method == "algorithm1"
+    assert rep.method == "iterative"
     assert equivalent(example1, rep.network)
 
 
 def test_core_algorithm1_rejects_example2(example2):
     with pytest.raises(NotAllDifferentError):
-        core_algorithm1(example2, h5())
+        core_algorithm1(example2)
 
 
 def test_core_algorithm1_rejects_inconsistent(bad_triangle):
     with pytest.raises(InconsistentNetworkError):
-        core_algorithm1(bad_triangle, h5())
+        core_algorithm1(bad_triangle)
 
 
 def test_core_algorithm1_membership_check(example1):
@@ -216,9 +219,8 @@ def test_prime_dispatch_without_a_distributive_fit(example1):
     assert rep.trivially_redundant == (
         {(i, j) for i in range(5) for j in range(i + 1, 5)}
         - set(example1.constraint_pairs()))
-    # an explicit subalgebra overrides the detection: Algorithm 1
-    _assert_same_report(prime(example1, subalgebra=h5()),
-                        core_algorithm1(example1, h5()))
+    # a given subalgebra outside every maximal distributive one: the fold
+    _assert_same_report(prime(example1, subalgebra=h5()), prime(example1))
 
 
 @pytest.mark.parametrize("rel", ["DR", "0", "DR|PPi"])
@@ -280,7 +282,10 @@ def test_core_algorithm1_matches_the_full_q_intersection(rcc5, sub, example1):
                               random.Random(seed)), sub)
              for n, seed in sizes + [(19, 61), (60, 61)]]
     if rcc5:
-        cases.append((example1, h5()))  # an explicit tractable override
+        # a given subalgebra that lies inside a maximal distributive one
+        cases.append((weaken_scenario(gen.random_scenario(5, 61, rcc5=True),
+                                      bhat(RCC5), random.Random(61)),
+                      bhat(RCC5)))
     found = set()
     for net, given in cases:
         rep = core_algorithm1(net, given)
@@ -430,3 +435,43 @@ def test_redundancy_report_fields(example1):
     assert rep.trivially_redundant == {
         (i, j) for i in range(5) for j in range(i + 1, 5)
         if example1.mask(i, j) == RCC5.universal}
+
+
+def _loop_weaken(scenario, sub, rng, max_extra=2):
+    """weaken_scenario as a per-pair loop of smallest_member and set_mask,
+    before its one cover lookup and mirrored write; kept as the
+    reference."""
+    calc = scenario.calculus
+    rows = scenario.matrix.tolist()
+    out = scenario.copy()
+    for i in range(scenario.n):
+        for j in range(i + 1, scenario.n):
+            mask = rows[i][j]
+            for _ in range(rng.randint(0, max_extra)):
+                mask |= 1 << rng.randrange(calc.size)
+            member = sub.smallest_member(mask)
+            if member is None:
+                member = calc.universal
+            out.set_mask(i, j, member)
+    return out
+
+
+# the built-ins, plus the RCC8 basics alone, which hold no multi-basic mask
+_WEAKEN_SUBS = [bhat(RCC5), d5_14(), d5_20(), h5(), bhat(RCC8), d8_41(),
+                d8_64(), Subalgebra(RCC8, [1 << b for b in range(8)])]
+
+
+@pytest.mark.parametrize("sub", _WEAKEN_SUBS,
+                         ids=lambda sub: sub.name or "basics8")
+def test_weaken_scenario_matches_the_pair_loop(sub):
+    for n, seed in [(2, 5), (7, 11), (19, 13), (40, 17)]:
+        scenario = gen.random_scenario(n, seed,
+                                       rcc5=sub.calculus is RCC5)
+        for max_extra in (0, 2, 5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = weaken_scenario(scenario, sub, rng, max_extra)
+            want = _loop_weaken(scenario, sub, ref, max_extra)
+            assert save(got) == save(want) and got == want
+            got.validate()
+            # the same draws, in the same order
+            assert rng.getstate() == ref.getstate()
