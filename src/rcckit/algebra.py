@@ -54,7 +54,7 @@ def _as_masks(calc: Calculus, rels: Iterable) -> list[int]:
         elif isinstance(r, str):
             out.append(calc.parse(r))
         else:
-            out.append(int(r))
+            out.append(calc._valid_mask(r))
     return out
 
 

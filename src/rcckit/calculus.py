@@ -19,7 +19,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CalculusMismatchError, EmptyPathError, UnknownNameError
+from .errors import (
+    CalculusMismatchError,
+    EmptyPathError,
+    MaskError,
+    UnknownNameError,
+)
 
 __all__ = [
     "Calculus",
@@ -202,6 +207,20 @@ class Calculus:
     def compose_masks(self, r: int, s: int) -> int:
         return self._comp_list[r][s]
 
+    def _valid_mask(self, mask) -> int:
+        """``mask`` as an int when it is an integer (a numpy one too, a bool
+        not) in 0..universal; otherwise MaskError.  Every entry stays in
+        range, which the closure's uint16 gather index relies on."""
+        # a plain int skips the type test: the scenario path sets and
+        # builds one relation per pair
+        if (type(mask) is not int
+                and (isinstance(mask, bool)
+                     or not isinstance(mask, (int, np.integer)))
+                or not 0 <= mask <= self.universal):
+            raise MaskError(f"relation mask {mask!r} is not an integer "
+                            f"in 0..{self.universal} of {self.name}")
+        return int(mask)
+
     def converse_mask(self, r: int) -> int:
         return self._conv_list[r]
 
@@ -241,7 +260,7 @@ class Calculus:
             return spec
         if isinstance(spec, str):
             return Relation(self, self.parse(spec))
-        return Relation(self, int(spec))
+        return Relation(self, self._valid_mask(spec))
 
     def __repr__(self) -> str:
         return f"Calculus({self.name})"
@@ -277,9 +296,7 @@ class Relation:
     mask: int
 
     def __post_init__(self):
-        if not 0 <= self.mask <= self.calculus.universal:
-            raise ValueError(f"mask {self.mask} out of range "
-                             f"for {self.calculus.name}")
+        self.calculus._valid_mask(self.mask)
 
     def _check(self, other: "Relation") -> None:
         if self.calculus is not other.calculus:

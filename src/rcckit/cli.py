@@ -90,9 +90,10 @@ def cmd_subalg(args):
 def cmd_closure(args):
     net = network.load(args.net)
     res = reasoning.a_closure(net)
+    metrics = {"updates": res.updates, "sweeps": res.sweeps,
+               "terms": res.terms}
     if not res.consistent:
-        _report(args, "closure", "inconsistent",
-                metrics={"updates": res.updates, "sweeps": res.sweeps},
+        _report(args, "closure", "inconsistent", metrics=metrics,
                 extra={"input": net.digest(), "witness": list(res.witness)})
         if not args.json:
             i, k, j = res.witness
@@ -100,8 +101,7 @@ def cmd_closure(args):
             print(f"inconsistent: entry ({i + 1},{j + 1}) {how}")
         return 1
     artifacts = _write_or_print(args, network.save(res.network), args.out)
-    _report(args, "closure", "consistent",
-            metrics={"updates": res.updates, "sweeps": res.sweeps},
+    _report(args, "closure", "consistent", metrics=metrics,
             artifacts=artifacts, extra={"input": net.digest()})
     return 0
 

@@ -13,6 +13,10 @@ class UnknownNameError(RccError, ValueError):
     """A calculus, basic relation or subalgebra name is not known."""
 
 
+class MaskError(RccError, ValueError):
+    """A relation mask is not an integer in 0..universal of its calculus."""
+
+
 class EmptyPathError(RccError):
     """A path operation was given no relations."""
 

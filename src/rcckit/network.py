@@ -105,6 +105,7 @@ class Network:
 
     def set_mask(self, i: int, j: int, mask: int) -> None:
         self._check_pair(i, j)
+        mask = self.calculus._valid_mask(mask)
         if i == j:
             if mask != self.calculus.identity:
                 raise NetworkShapeError("diagonal entries must be EQ")

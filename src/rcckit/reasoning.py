@@ -11,9 +11,17 @@ takes from there.  For networks over a tractable subclass (basic
 networks among them) the closure decides consistency;
 ``_closure_decides`` is the one test of that, and ``_fit`` the one test
 that a subalgebra holds a network, for every caller.
-The per-block gather of every R_ij . R_jk, ``_gathers``, is one kernel:
-``_meets`` AND-reduces it for the closure, and the Simple/SimpleExt
-engine (:mod:`rcckit.baselines`) tests it directly.
+One helper, ``_terms``, gathers the terms R_ik . R_kj of a block of rows
+through a uint16 index into the composition table (every mask is at
+most the universal one, and 2 * size <= 16 bits): ``_gathers`` takes
+every k for the Simple/SimpleExt engine (:mod:`rcckit.baselines`), which
+tests the gather directly.  The closure AND-reduces it, and only a
+block's first computation takes every k; a later one takes the k whose
+row changed since that block was last computed (``changed >= computed``,
+a row its own write moved included) and ANDs their terms into the
+block's previous meets.  The schedule of blocks and sweeps, and so the
+closed matrix, the counts, the witness and Q, are those of recomputing
+every block in full.
 
 The backtracking oracle asks one question, through one probe, ``_narrow``:
 does the network keep a solution once some entries are narrowed?  The
@@ -64,7 +72,7 @@ __all__ = [
 
 DEFAULT_GUARD = 12
 
-# bounds the entries of the temporary gathered per block of rows in _gathers
+# bounds the entries of the temporary gathered per block of rows (_blocks)
 _BLOCK_CELLS = 2 ** 15
 
 
@@ -80,7 +88,10 @@ class AClosureResult:
     changed; an already closed input reports 0.  ``sweeps`` counts the row
     sweeps begun, the last one being the sweep that changed nothing or the
     one that emptied an entry: an already closed input reports 1, an input
-    with an empty entry 0.
+    with an empty entry 0.  ``terms`` counts the composition terms
+    comp[R_ik, R_kj] the sweeps gathered: n**3 for an already closed
+    input, whose one sweep gathers every term once, 0 for an input with
+    an empty entry.
     """
 
     consistent: bool
@@ -88,6 +99,7 @@ class AClosureResult:
     witness: Optional[tuple[int, int, int]]
     updates: int = 0
     sweeps: int = 0
+    terms: int = 0
 
 
 def _pca_lists(calc, m: list[list[int]],
@@ -142,80 +154,119 @@ def _pca_lists(calc, m: list[list[int]],
     return None
 
 
-def _gathers(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """Lazily, per block of rows: the block's slice and, for its rows i,
-    the gather G[i, j, k] = comp[m[i, j], m[j, k]].  Each block reads m
-    when it is computed, so a caller may write a block back before the
-    next one is computed.  A block gathers at most ``_BLOCK_CELLS``
-    entries, or one row."""
-    # comp_table[r, s] sits at (r << size) | s of the flattened table;
-    # one flat gather is several times faster than a two-index gather
-    comp = calc.comp_table.ravel()
-    n = m.shape[0]
+def _terms(calc, rows: np.ndarray, m: np.ndarray,
+           ks=slice(None)) -> np.ndarray:
+    """comp[rows[i, k], m[k, j]] at [i, k, j], for the k in ``ks`` (every
+    k by default): the terms of the rule for a block of rows of m."""
+    # comp_table[r, s] sits at (r << size) | s of the flattened table.
+    # Every mask is at most universal and 2 * size <= 16, so the index is
+    # built in uint16 (NEP 50 keeps uint16 << int in uint16) and read by
+    # np.take, about a quarter cheaper than an intp index
+    pairs = (rows[:, ks, None] << calc.size) | m[ks]
+    return calc.comp_table.ravel().take(pairs)
+
+
+def _blocks(n: int) -> list[slice]:
+    """The blocks of rows of an n-variable matrix, in order: each gathers
+    at most ``_BLOCK_CELLS`` entries, or one row."""
     height = max(1, _BLOCK_CELLS // (n * n))
-    for lo in range(0, n, height):
-        block = slice(lo, lo + height)
-        pairs = (m[block, :, None].astype(np.intp) << calc.size) | m
-        yield block, comp[pairs]
+    return [slice(lo, lo + height) for lo in range(0, n, height)]
 
 
-def _meets(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """:func:`_gathers` AND-reduced over the middle index: per block of
-    rows, its slice and AND_k comp[m[i, k], m[k, :]] for its rows i."""
-    for block, gather in _gathers(calc, m):
-        yield block, np.bitwise_and.reduce(gather, axis=1)
+def _gathers(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Lazily, per block of rows (:func:`_blocks`): the block's slice and,
+    for its rows i, the gather G[i, j, k] = comp[m[i, j], m[j, k]].  Each
+    block reads m when it is computed, so a caller may write a block back
+    before the next one is computed."""
+    for block in _blocks(m.shape[0]):
+        yield block, _terms(calc, m[block], m)
 
 
 def _close(calc, m: np.ndarray) -> tuple:
     """Enforce path consistency on a uint16 mask matrix in place.
 
-    Sweeps the rows in blocks, narrowing each block to its meets
-    (:func:`_meets`) and mirroring its converse into the matching columns,
-    until a sweep changes nothing.  Entries only shrink, so the sweeps
-    terminate.  Returns (witness, updates, sweeps, q): the first three as
-    in :class:`AClosureResult`, witness None on success.
+    Sweeps the rows in blocks (:func:`_blocks`), narrowing each block to
+    its meets AND_k comp[m[i, k], m[k, :]] and mirroring its converse into
+    the matching columns, until a sweep changes nothing.  Entries only
+    shrink, so the sweeps terminate.  Returns (witness, updates, sweeps,
+    q, terms): the first three and ``terms`` as in
+    :class:`AClosureResult`, witness None on success.
 
     The sweeps run over a universal diagonal, restored to EQ on return:
     * . r = r . * = * for every nonempty r, so the k = i and k = j terms,
     which never narrow an entry, drop out, and the meets of row i are
-    Q_ij, the meet over every other k.  Each sweep copies them into q
-    before ANDing the block into them.  On success q is Q of the closed
-    matrix, from the sweep that changed nothing (its diagonal aside), else
-    None.
+    Q_ij, the meet over every other k.  q holds each block's meets as of
+    its last computation; on success it is Q of the closed matrix, from
+    the sweep that changed nothing (its diagonal aside), else None.
+
+    Only a block's first computation gathers every k.  The term for k
+    reads R_ik and row k; a change at (i, k) changes row k too, through
+    the mirror, so marking the changed rows covers both.  Entries only
+    shrink and composition is monotone, so q already holds the term of
+    every k whose row has not changed since the block was last computed:
+    a later computation gathers the changed rows alone and ANDs their
+    terms into the block's q rows, which so stay the exact full meet.
+    The block's own write changes rows it read, so the test is
+    ``changed >= computed``, not ``>``; a block holding every row would
+    otherwise miss its own changes.  A block with no changed row keeps
+    its q rows, which its rows already equal, and is skipped.
     """
     if not m.all():
         i, j = np.argwhere(m == 0)[0].tolist()
-        return (i, i, j), 0, 0, None
+        return (i, i, j), 0, 0, None, 0
     conv = calc.conv_table
     star = calc.universal
+    n = m.shape[0]
     # diagonal cells lie n + 1 apart in m flattened, and in a block of rows
-    step = m.shape[0] + 1
+    step = n + 1
     m.flat[::step] = star
+    blocks = _blocks(n)
+    # the clock ticks once per block computed: when each block was last
+    # computed and each row last changed, -1 before the first computation
+    # so that it gathers every row
+    computed = [-1] * len(blocks)
+    changed_at = np.full(n, -1)
+    clock = 0
     q = np.empty_like(m)
     witness = None
-    updates = sweeps = 0
+    updates = sweeps = terms = 0
     changed = True
     while changed and witness is None:
         changed = False
         sweeps += 1
-        for block, new in _meets(calc, m):
+        for b, block in enumerate(blocks):
+            ks = (changed_at >= computed[b]).nonzero()[0]
+            if not ks.size:
+                continue
+            computed[b] = clock
+            clock += 1
             rows = m[block]
+            terms += rows.shape[0] * ks.size * n
+            if ks.size == n:
+                # the full meet: a slice reads faster than an index array
+                new = np.bitwise_and.reduce(_terms(calc, rows, m), axis=1)
+            else:
+                new = q[block] & np.bitwise_and.reduce(
+                    _terms(calc, rows, m, ks), axis=1)
             q[block] = new
             new &= rows
             new.reshape(-1)[block.start::step] = star
-            diff = int(np.count_nonzero(new != rows))
-            if not diff:
+            moved_i, moved_k = (new != rows).nonzero()
+            if not moved_i.size:
                 continue
             if not new.all():
                 r, j = np.argwhere(new == 0)[0].tolist()
                 witness = _witness(calc, m, block.start + r, j)
                 break
-            updates += diff
+            updates += moved_i.size
             changed = True
             rows[:] = new
             m[:, block] = conv[new].T
+            # a change at (i, k) changes row k too, through the mirror
+            changed_at[block][moved_i] = computed[b]
+            changed_at[moved_k] = computed[b]
     m.flat[::step] = calc.identity
-    return witness, updates, sweeps, (q if witness is None else None)
+    return witness, updates, sweeps, (q if witness is None else None), terms
 
 
 def _witness(calc, m: np.ndarray, i: int, j: int) -> tuple[int, int, int]:
@@ -239,12 +290,12 @@ def a_closure(net: Network) -> AClosureResult:
     is independent of the processing order.
     """
     m = net.matrix.copy()
-    witness, updates, sweeps, _ = _close(net.calculus, m)
+    witness, updates, sweeps, _, terms = _close(net.calculus, m)
     if witness is not None:
-        return AClosureResult(False, None, witness, updates, sweeps)
+        return AClosureResult(False, None, witness, updates, sweeps, terms)
     out = Network(net.calculus, net.n, net.labels)
     out.matrix = m
-    return AClosureResult(True, out, None, updates, sweeps)
+    return AClosureResult(True, out, None, updates, sweeps, terms)
 
 
 def _fit(net: Network, sub: Optional[Subalgebra],

@@ -199,7 +199,7 @@ def core_algorithm1(net: Network,
     calc = net.calculus
     n = net.n
     closed = net.matrix.copy()
-    witness, _, _, q = _close(calc, closed)
+    witness, _, _, q, _ = _close(calc, closed)
     if witness is not None:
         raise InconsistentNetworkError(_NEEDS_CONSISTENT)
     equal = _upper_pairs(closed == calc.identity)

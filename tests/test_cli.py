@@ -75,7 +75,10 @@ def test_closure_json_reports_sweeps(capsys, example1_path, tmp_path):
     assert json.loads(out)["metrics"]["sweeps"] >= 2
     code, out, _ = run(capsys, "closure", str(closed), "--json")
     assert code == 0
-    assert json.loads(out)["metrics"] == {"updates": 0, "sweeps": 1}
+    # a closed input gathers every term once
+    n = load(closed).n
+    assert json.loads(out)["metrics"] == {"updates": 0, "sweeps": 1,
+                                          "terms": n ** 3}
 
 
 def test_closure_inconsistent_reports_witness(capsys, bad_path):

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import util_instances as gen
-from rcckit import RCC5, RCC8, Network
+from rcckit import RCC5, RCC8, Network, Relation
+from rcckit.algebra import Subalgebra
 from rcckit.errors import (
     ConverseConflictError,
     InconsistentNetworkError,
+    MaskError,
     NetworkFormatError,
     NetworkShapeError,
     RccError,
@@ -69,6 +71,35 @@ def test_entry_access_rejects_indices_out_of_range(i, j):
             access()
     assert np.array_equal(net.matrix, before)
     net.validate()
+
+
+@pytest.mark.parametrize("bad", [256, -1, 1 << 20, 2.7, 3.9, True,
+                                 np.int64(256)], ids=repr)
+def test_a_mask_outside_the_calculus_is_rejected_before_any_write(bad):
+    net = Network(RCC8, 3)
+    net[1, 2] = "PO"
+    before = net.matrix.copy()
+    for enter in (lambda: net.set_mask(0, 1, bad),
+                  lambda: net.set_mask(1, 2, bad),
+                  lambda: net.set_mask(2, 2, bad),
+                  lambda: net.__setitem__((0, 2), bad),
+                  lambda: Relation(RCC8, bad),
+                  lambda: RCC8.relation(bad),
+                  lambda: Subalgebra(RCC8, [bad])):
+        with pytest.raises(MaskError, match="not an integer in 0..255"):
+            enter()
+        assert np.array_equal(net.matrix, before)
+    net.validate()
+    assert issubclass(MaskError, (ValueError, RccError))
+
+
+def test_numpy_integer_masks_are_masks():
+    net = Network(RCC8, 3)
+    net.set_mask(0, 1, np.uint16(RCC8.parse("PO")))
+    net[1, 2] = np.int64(RCC8.parse("DC"))
+    assert str(net[0, 1]) == "PO" and str(net[2, 1]) == "DC"
+    assert type(net.mask(0, 1)) is int
+    assert RCC8.relation(np.uint8(3)) == Relation(RCC8, 3)
 
 
 @pytest.mark.parametrize("bad", [1.5, 1.0, True, False, np.bool_(True),

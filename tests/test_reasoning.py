@@ -2,12 +2,14 @@
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import closure_reference
 import util_instances as gen
 from rcckit import RCC5, RCC8, Network, Relation, ct_path, reasoning
 from rcckit.algebra import (
@@ -25,11 +27,16 @@ from rcckit.errors import (
     MembershipError,
     NetworkShapeError,
 )
+from rcckit.geometry import (
+    generate_regions,
+    hybrid_reconstitute,
+    scenario_from_regions,
+)
 from rcckit.network import refines, remove_constraint, restrict
 from rcckit.reasoning import (
     _close,
     _closed,
-    _meets,
+    _gathers,
     _narrow,
     _pca_lists,
     _witness,
@@ -43,7 +50,12 @@ from rcckit.reasoning import (
     is_consistent,
     solve,
 )
-from rcckit.redundancy import detect_distributive, equivalent, weaken_scenario
+from rcckit.redundancy import (
+    core_algorithm1,
+    detect_distributive,
+    equivalent,
+    weaken_scenario,
+)
 
 
 def test_aclosure_restores_removed_edge(example1):
@@ -141,7 +153,7 @@ def test_close_matches_the_queue_reference():
             ref_witness = _pca_lists(net.calculus, ref,
                                      list(net.constraint_pairs()))
             m = net.matrix.copy()
-            witness, updates, sweeps, _ = _close(net.calculus, m)
+            witness, updates, sweeps, _, _ = _close(net.calculus, m)
             assert (witness is None) == (ref_witness is None), n
             verdicts.add(witness is None)
             if witness is None:
@@ -166,7 +178,7 @@ def _eq_diagonal_close(calc, m):
     while changed:
         changed = False
         sweeps += 1
-        for block, new in _meets(calc, m):
+        for block, new in closure_reference.meets(calc, m):
             rows = m[block]
             diff = int(np.count_nonzero(new != rows))
             if not diff:
@@ -196,7 +208,7 @@ def test_close_matches_the_eq_diagonal_sweep(monkeypatch, cells):
             expected = _eq_diagonal_close(calc, ref)
             # _close sweeps over a universal diagonal
             m = net.matrix.copy()
-            *got, q = _close(calc, m)
+            *got, q, _ = _close(calc, m)
             assert tuple(got) == expected, n
             assert np.array_equal(m, ref), n
             assert (np.diagonal(m) == calc.identity).all(), n
@@ -205,7 +217,8 @@ def test_close_matches_the_eq_diagonal_sweep(monkeypatch, cells):
                 # Q: one more pass of the meets over a universal diagonal
                 wide = ref.copy()
                 np.fill_diagonal(wide, calc.universal)
-                want = np.concatenate([b for _, b in _meets(calc, wide)])
+                want = np.concatenate(
+                    [b for _, b in closure_reference.meets(calc, wide)])
                 off = ~np.eye(n, dtype=bool)
                 assert np.array_equal(q[off], want[off]), n
             else:
@@ -213,6 +226,134 @@ def test_close_matches_the_eq_diagonal_sweep(monkeypatch, cells):
             paths.add("closed" if witness is None
                       else "empty" if sweeps == 0 else "witness")
     assert paths == {"closed", "witness", "empty"}
+
+
+def _assert_close_matches_the_reference(net):
+    """_close against the kernel that recomputes every block in full on
+    every sweep: equal (witness, updates, sweeps), matrix and
+    off-diagonal Q, and no more terms gathered.  Returns the path taken,
+    the terms _close gathered and the terms the reference gathered."""
+    calc = net.calculus
+    want_m = net.matrix.copy()
+    *want, want_q, want_terms = closure_reference.close(calc, want_m)
+    m = net.matrix.copy()
+    *got, q, terms = _close(calc, m)
+    assert got == want, net.n
+    assert np.array_equal(m, want_m), net.n
+    assert terms <= want_terms, net.n
+    witness, _, sweeps = want
+    if witness is None:
+        off = ~np.eye(net.n, dtype=bool)
+        assert np.array_equal(q[off], want_q[off]), net.n
+    else:
+        assert q is None, net.n
+    path = ("closed" if witness is None
+            else "empty" if sweeps == 0 else "witness")
+    return path, terms, want_terms
+
+
+def _weakened_scene(n, seed, profile="mixed"):
+    """A polygon scene's scenario weakened over D8_41, as criterion 8
+    builds its instances."""
+    scenario = scenario_from_regions(generate_regions(n, seed, profile))
+    return weaken_scenario(scenario, d8_41(), random.Random(n))
+
+
+@pytest.mark.parametrize("cells", [2 ** 15, 2 ** 8, 2 ** 6],
+                         ids=["default-blocks", "small-blocks", "tiny-blocks"])
+def test_delta_sweeps_match_the_full_meet_reference(monkeypatch, cells):
+    # 19 variables fit one block of 2**15 cells: a sweep of that block
+    # reads rows its own previous write moved
+    monkeypatch.setattr(reasoning, "_BLOCK_CELLS", cells)
+    paths = set()
+    for rcc5, n in itertools.product((True, False), (2, 3, 5, 8, 17, 30, 41)):
+        empty = Network(RCC5 if rcc5 else RCC8, n)
+        empty.set_mask(n - 1, 0, 0)
+        for net in (*_closure_inputs(n, 500 + n, rcc5), empty):
+            paths.add(_assert_close_matches_the_reference(net)[0])
+    for seed in range(4):
+        net = _weakened_scene(19, seed)
+        assert _assert_close_matches_the_reference(net)[0] == "closed"
+    assert paths == {"closed", "witness", "empty"}
+
+
+def test_delta_sweeps_gather_less_on_criterion_8s_instance():
+    # at 200 variables every block is one row
+    n = 200
+    net = _weakened_scene(n, 7, "nested")
+    path, terms, want = _assert_close_matches_the_reference(net)
+    assert path == "closed"
+    assert want == 2 * n ** 3
+    assert terms <= 1.7 * n ** 3
+    assert a_closure(net).terms == terms
+
+
+def test_delta_sweeps_match_the_reference_on_a_reconstitution_seed(
+        monkeypatch):
+    regions = generate_regions(100, 7, "scattered")
+    scenario = scenario_from_regions(regions)
+    seeds = []
+    closure = reasoning.a_closure
+
+    def spy(net):
+        seeds.append(net.copy())
+        return closure(net)
+
+    prime = core_algorithm1(scenario).network
+    monkeypatch.setattr(reasoning, "a_closure", spy)
+    assert hybrid_reconstitute(prime, regions) == scenario
+    (seed,) = seeds
+    path, terms, want = _assert_close_matches_the_reference(seed)
+    assert path == "closed" and terms < want
+
+
+@st.composite
+def _widened_scenarios(draw):
+    """Mostly consistent networks that take several sweeps: a scenario
+    with many entries made universal or widened, and now and then one
+    entry switched to another basic.  Random masks are mostly
+    inconsistent within the first sweep, which tests no later sweep."""
+    rcc5 = draw(st.booleans())
+    n = draw(st.integers(3, 40))
+    net = gen.random_scenario(n, draw(st.integers(0, 999)), rcc5=rcc5)
+    calc = net.calculus
+    star = calc.universal
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    loose = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    for i, j in itertools.combinations(range(n), 2):
+        roll = rng.random()
+        if roll < loose:
+            net.set_mask(i, j, star)
+        elif roll < loose + 0.2:
+            net.set_mask(i, j, net.mask(i, j) | rng.randint(1, star))
+    if draw(st.integers(0, 9)) == 0:
+        i, j = rng.sample(range(n), 2)
+        net.set_mask(i, j, 1 << rng.randrange(calc.size))
+    return net
+
+
+@settings(max_examples=60, deadline=None)
+@given(_widened_scenarios(), st.sampled_from([2 ** 15, 2 ** 8, 2 ** 6]))
+def test_delta_sweeps_match_the_reference_property(net, cells):
+    with mock.patch.object(reasoning, "_BLOCK_CELLS", cells):
+        _assert_close_matches_the_reference(net)
+
+
+@pytest.mark.parametrize("cells", [2 ** 15, 2 ** 8],
+                         ids=["default-blocks", "small-blocks"])
+def test_gathers_match_the_intp_index_reference(monkeypatch, cells):
+    monkeypatch.setattr(reasoning, "_BLOCK_CELLS", cells)
+    for rcc5, n in itertools.product((True, False), (2, 5, 17, 41)):
+        for net in _closure_inputs(n, 700 + n, rcc5):
+            calc = net.calculus
+            m = net.matrix.copy()
+            # a universal diagonal reaches the top of the index range
+            np.fill_diagonal(m, calc.universal)
+            got = list(_gathers(calc, m))
+            want = list(closure_reference.gathers(calc, m))
+            assert [b for b, _ in got] == [b for b, _ in want], n
+            for (_, g), (_, w) in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), n
 
 
 @settings(max_examples=100, deadline=None)

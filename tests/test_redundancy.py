@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
+import closure_reference
 import util_instances as gen
 from rcckit import RCC5, RCC8, Network, reasoning, redundancy
 from rcckit.algebra import Subalgebra, bhat, d5_14, d5_20, d8_41, d8_64, h5
@@ -17,7 +18,7 @@ from rcckit.errors import (
     NotAllDifferentError,
 )
 from rcckit.network import remove_constraint, save
-from rcckit.reasoning import _meets, a_closure
+from rcckit.reasoning import a_closure
 from rcckit.redundancy import (
     core,
     core_algorithm1,
@@ -324,7 +325,8 @@ def _separate_q_pass(net):
     closed = a_closure(net).network.matrix
     q = closed.copy()
     np.fill_diagonal(q, star)
-    q = np.concatenate([block for _, block in _meets(calc, q)])
+    q = np.concatenate(
+        [block for _, block in closure_reference.meets(calc, q)])
     upper = np.triu(np.ones((net.n, net.n), dtype=bool), k=1)
     redundant = upper & (q == closed)
     pruned = net.copy()
