@@ -104,12 +104,12 @@ class Subalgebra:
             if r.calculus is not self.calculus:
                 return False
             return r.mask in self.members
-        return int(r) in self.members
+        return self.calculus._valid_mask(r) in self.members
 
     def smallest_member(self, mask: int) -> Optional[int]:
         """Smallest member containing ``mask`` (sets closed under
         intersection have a unique one), or None."""
-        got = int(self.smallest_members(mask, -1))
+        got = int(self.smallest_members(self.calculus._valid_mask(mask), -1))
         return None if got < 0 else got
 
     def smallest_members(self, masks: np.ndarray, default: int) -> np.ndarray:

@@ -44,7 +44,7 @@ import numpy as np
 from .calculus import RCC8, Relation
 from .errors import (CalculusMismatchError, GeometryError,
                      InconsistentNetworkError)
-from .network import Network, _unsavable, _upper_pairs
+from .network import Network, _unsavable
 
 __all__ = [
     "Region",
@@ -369,13 +369,21 @@ def _general_relation(a: Region, b: Region) -> str:
     return "DC"
 
 
+# the mask of each RCC8 basic, by the name the predicates return
+_BASIC_MASK = {name: 1 << b for b, name in enumerate(RCC8.basic_names)}
+
+
+def _relation_mask(a: Region, b: Region) -> int:
+    """The mask of the unique RCC8 basic relation holding between two
+    regions, from the convex predicate when both are convex."""
+    if a.convex and b.convex:
+        return _BASIC_MASK[_convex_relation(a, b)]
+    return _BASIC_MASK[_general_relation(a, b)]
+
+
 def rcc8_relation(a: Region, b: Region) -> Relation:
     """The unique RCC8 basic relation holding between two regions."""
-    if a.convex and b.convex:
-        name = _convex_relation(a, b)
-    else:
-        name = _general_relation(a, b)
-    return Relation(RCC8, RCC8.parse(name))
+    return Relation(RCC8, _relation_mask(a, b))
 
 
 def _apart(regions: Sequence[Region]) -> np.ndarray:
@@ -397,8 +405,8 @@ def scenario_from_regions(regions: Sequence[Region]) -> Network:
     """Complete basic RCC8 network of a region list.
 
     Pairs whose bounding boxes are apart (:func:`_apart`) are set to DC
-    without running the exact predicates; the others, listed by
-    :func:`network._upper_pairs`, take :func:`rcc8_relation`.
+    without running the exact predicates; the others take the mask of
+    :func:`rcc8_relation`, and their converses, in one write each.
     """
     if len(regions) < 2:
         raise GeometryError("a scenario needs at least two regions")
@@ -409,8 +417,12 @@ def scenario_from_regions(regions: Sequence[Region]) -> Network:
     apart = _apart(regions)
     # DC is its own converse, so one symmetric write keeps the invariant
     net.matrix[apart] = RCC8.parse("DC")
-    for i, j in _upper_pairs(~apart):
-        net.set_mask(i, j, rcc8_relation(regions[i], regions[j]).mask)
+    rows, cols = np.nonzero(np.triu(~apart, k=1))
+    masks = np.array([_relation_mask(regions[i], regions[j])
+                      for i, j in zip(rows.tolist(), cols.tolist())],
+                     dtype=np.uint16)
+    net.matrix[rows, cols] = masks
+    net.matrix[cols, rows] = RCC8.conv_table[masks]
     return net
 
 

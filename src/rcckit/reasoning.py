@@ -25,16 +25,17 @@ every block in full.
 
 The backtracking oracle asks one question, through one probe, ``_narrow``:
 does the network keep a solution once some entries are narrowed?  The
-network is closed once, into a list matrix, by ``_closed``: one pass over
-every triangle i < j < k applies its three refinements in place
-(``_triangles``), and the oracle's own pair-queue propagator
-``_pca_lists`` then re-closes from the pairs that pass changed.  Each
-probe copies that matrix, intersects its pins and re-closes from the
-pinned pairs alone, and the search branches through the same probe,
-carrying down the pairs still non-basic so that no node rescans the whole
-matrix.  The oracle never calls :func:`a_closure`, so it checks
-Algorithm 1 independently.  Searches are guarded by a size limit, because
-scenario enumeration is exponential.
+network is closed from scratch once, by :func:`_close`, and handed to the
+probes as a list matrix (``_closed``).  Each probe copies that matrix,
+intersects its pins and re-closes from the pinned pairs alone with the
+oracle's pair-queue propagator ``_pca_lists``, and the search branches
+through the same probe, carrying down the pairs still non-basic so that
+no node rescans the whole matrix.  The a-closure so serves both sides of
+the acceptance checks; what keeps the oracle independent of it is the
+pin-and-search propagator ``_pca_lists`` and the test-local references
+(``tests/closure_reference.py``, the all-pairs ``_ref_closed`` of the
+reasoning tests, and the benchmark's own reference module).  Searches
+are guarded by a size limit, because scenario enumeration is exponential.
 """
 
 from __future__ import annotations
@@ -107,11 +108,10 @@ def _pca_lists(calc, m: list[list[int]],
     """The oracle's propagator: path consistency on a list matrix in place.
 
     ``queue`` holds the pairs (i, j) narrowed since the matrix was last
-    path-consistent: the pins of a probe, or the pairs that the triangle
-    pass of a from-scratch closure changed (:func:`_triangles`).  Seeded
-    with every non-universal pair it closes a matrix from scratch too,
-    but pops several times as many pairs as that pass leaves changed.
-    Returns the witness, or None on success.
+    path-consistent: the pins of a probe.  The from-scratch closure is
+    :func:`_close`'s; seeded with every non-universal pair this closes
+    from scratch too, as the tests' all-pairs reference does.  Returns
+    the witness, or None on success.
     """
     comp = calc._comp_list
     conv = calc._conv_list
@@ -374,67 +374,13 @@ def _narrow(calc, m: list[list[int]], pins,
     return next(_scenarios(calc, child), None) if search else child
 
 
-def _triangles(calc, m: list[list[int]]) -> Optional[dict]:
-    """One pass over every triangle i < j < k of a list matrix, applying
-    its three refinements in place: R_ij by R_ik . R_kj, R_ik by
-    R_ij . R_jk, R_jk by R_ji . R_ik.  Returns the pairs it changed, in
-    the order they first changed (a dict used as an ordered set), or None
-    once an entry empties.
-
-    At the end of a triangle each of its refinements holds or uses a pair
-    changed after it was applied, and a later change is recorded too; so
-    re-closing from the changed pairs alone reaches the closure, as
-    :func:`_pca_lists` from every non-universal pair does.
-    """
-    comp = calc._comp_list
-    conv = calc._conv_list
-    n = len(m)
-    changed = {}
-    for i in range(n - 2):
-        row_i = m[i]
-        for j in range(i + 1, n - 1):
-            row_j = m[j]
-            for k in range(j + 1, n):
-                row_k = m[k]
-                ij = row_i[j]
-                ik = row_i[k]
-                jk = row_j[k]
-                new = ij & comp[ik][row_k[j]]
-                if new != ij:
-                    if not new:
-                        return None
-                    ij = row_i[j] = new
-                    row_j[i] = conv[new]
-                    changed[i, j] = None
-                new = ik & comp[ij][jk]
-                if new != ik:
-                    if not new:
-                        return None
-                    ik = row_i[k] = new
-                    row_k[i] = conv[new]
-                    changed[i, k] = None
-                new = jk & comp[row_j[i]][ik]
-                if new != jk:
-                    if not new:
-                        return None
-                    row_j[k] = new
-                    row_k[j] = conv[new]
-                    changed[j, k] = None
-    return changed
-
-
 def _closed(net: Network) -> Optional[list[list[int]]]:
-    """The network closed from scratch into a list matrix, or None when it
-    is inconsistent: one pass over its triangles, :func:`_triangles`, then
-    :func:`_pca_lists` from the pairs that pass changed."""
-    calc = net.calculus
-    m = net.matrix.tolist()
-    if not all(map(all, m)):
+    """The network closed from scratch by :func:`_close`, as a list
+    matrix for the oracle's probes, or None when it is inconsistent."""
+    m = net.matrix.copy()
+    if _close(net.calculus, m)[0] is not None:
         return None
-    changed = _triangles(calc, m)
-    if changed is None or _pca_lists(calc, m, changed) is not None:
-        return None
-    return m
+    return m.tolist()
 
 
 def _basic_pins(masks: np.ndarray) -> list[tuple[int, int, int]]:

@@ -7,6 +7,7 @@ from functools import lru_cache
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from rcckit.algebra import (
     is_distributive,
     maximal_distributive,
 )
+from rcckit.errors import MaskError
 
 BASIC5 = ["DR", "PO", "PP", "PPi", "EQ"]
 BASIC8 = ["DC", "EC", "PO", "TPP", "NTPP", "TPPi", "NTPPi", "EQ"]
@@ -307,6 +309,17 @@ def test_smallest_member():
     for m in sub.members:
         if m & seed == seed:
             assert got & ~m == 0
+
+
+@pytest.mark.parametrize("mask", [2.7, True, 300, -1, np.int64(32)])
+def test_subalgebra_lookups_reject_bad_masks(mask):
+    sub = d5_20()
+    with pytest.raises(MaskError):
+        mask in sub
+    with pytest.raises(MaskError):
+        sub.smallest_member(mask)
+    assert RCC5.universal in sub and np.int64(RCC5.universal) in sub
+    assert Relation(RCC8, RCC8.universal) not in sub
 
 
 def test_by_name():

@@ -546,12 +546,13 @@ def test_pair_helpers_match_the_pair_loops(monkeypatch, profile):
     regs = generate_regions(60, 7, profile)
     want, exact = _loop_scenario(regs)
     calls = []
+    relation_mask = geometry._relation_mask
 
     def recording(a, b):
         calls.append((regs.index(a), regs.index(b)))
-        return rcc8_relation(a, b)
+        return relation_mask(a, b)
 
-    monkeypatch.setattr(geometry, "rcc8_relation", recording)
+    monkeypatch.setattr(geometry, "_relation_mask", recording)
     scenario = scenario_from_regions(regs)
     monkeypatch.undo()
     # the same network, and the exact predicates on the same pairs in order

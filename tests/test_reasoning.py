@@ -32,7 +32,7 @@ from rcckit.geometry import (
     hybrid_reconstitute,
     scenario_from_regions,
 )
-from rcckit.network import refines, remove_constraint, restrict
+from rcckit.network import refines, remove_constraint, restrict, to_rcc5
 from rcckit.reasoning import (
     _close,
     _closed,
@@ -54,6 +54,7 @@ from rcckit.redundancy import (
     core_algorithm1,
     detect_distributive,
     equivalent,
+    prime,
     weaken_scenario,
 )
 
@@ -815,10 +816,11 @@ def test_oracle_guard_applies_only_to_searches():
         assert entails(easy, i, j, rel) == _ref_entails(easy, i, j, rel, 12)
 
 
-# The oracle's from-scratch closure and search as they were before the
-# triangle pass and the carried branch candidates: every non-universal
-# pair queued into _pca_lists, and every search node rescanning the whole
-# matrix for its branch entry.
+# The oracle's from-scratch closure and search in the list engine alone,
+# as they were before _closed ran _close and the search carried its branch
+# candidates: every non-universal pair queued into _pca_lists, and every
+# search node rescanning the whole matrix for its branch entry.  _ref_closed
+# is so a differential reference for _close on the oracle's path.
 
 
 def _ref_closed(net):
@@ -867,7 +869,8 @@ def _with_empty_entry(net, seed):
 
 def test_closed_matches_the_all_pairs_reference():
     kinds = set()
-    for rcc5, n in itertools.product((True, False), range(2, 13)):
+    # above the guard: at 20 one block holds every row, at 40 two blocks
+    for rcc5, n in itertools.product((True, False), (*range(2, 13), 20, 40)):
         nets = _closure_inputs(n, 500 + n, rcc5)
         for net in (*nets, _with_empty_entry(nets[0], n)):
             got = _closed(net)
@@ -883,6 +886,35 @@ def test_closed_matches_the_all_pairs_reference_property(net, empty):
     if empty:
         net = _with_empty_entry(net, net.n)
     assert _closed(net) == _ref_closed(net)
+
+
+def _h5_network(n, seed):
+    """An RCC5 coarsening of a mixed scene, each entry an H5 member of at
+    most three basics that holds the scene's basic: consistent, tractable
+    and, with H5 outside every distributive subalgebra, folded by prime."""
+    sc = to_rcc5(scenario_from_regions(generate_regions(n, seed, "mixed")))
+    rng = random.Random(n)
+    out = sc.copy()
+    for i, j in sc.constraint_pairs():
+        out.set_mask(i, j, rng.choice(sorted(
+            m for m in h5().members
+            if m & sc.mask(i, j) and m.bit_count() <= 3)))
+    return out
+
+
+def test_h5_fold_above_the_guard_matches_the_per_probe_reference():
+    net = _h5_network(20, 7)
+    assert net.n > reasoning.DEFAULT_GUARD
+    assert detect_distributive(net) is None
+    rep = prime(net)
+    assert rep.method == "iterative"
+    ref = net.copy()
+    for i, j in net.constraint_pairs():
+        if _ref_entails(remove_constraint(ref, i, j), i, j, ref.entry(i, j),
+                        reasoning.DEFAULT_GUARD):
+            ref.set_mask(i, j, RCC5.universal)
+    assert rep.network == ref
+    assert 0 < len(rep.nontrivial) < net.constraint_count()
 
 
 def _search_inputs(n, seed, rcc5):
