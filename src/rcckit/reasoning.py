@@ -1,16 +1,25 @@
 """Path consistency, consistency decisions, and the backtracking oracle.
 
 The a-closure (algebraic closure) is the fixed point of the refinement
-rule R_ij <- (R_ik . R_kj) & R_ij.  :func:`a_closure` reaches it with one
-engine for every size: sweeps over blocks of rows that apply the rule for
-all k at once, repeated until a sweep changes nothing.  The sweeps run
-over a universal diagonal, so the meet they take for (i, j) runs over
-the k other than i and j: in the sweep that changes nothing it is
-Algorithm 1's Q_ij, which :func:`rcckit.redundancy.core_algorithm1`
-takes from there.  For networks over a tractable subclass (basic
-networks among them) the closure decides consistency;
-``_closure_decides`` is the one test of that, and ``_fit`` the one test
-that a subalgebra holds a network, for every caller.
+rule R_ij <- (R_ik . R_kj) & R_ij.  One engine, ``_close``, reaches it
+for every size and for a stack of matrices (p, n, n) at once, a single
+matrix being a stack of one: sweeps over blocks of rows that apply the
+rule for all k at once, the same block of every matrix of the stack in
+one gather, repeated until a sweep changes nothing.  A matrix leaves the
+stack when a sweep changes nothing in it or when it empties an entry.
+One call holds at most max(1, _BLOCK_CELLS // n**2) matrices, and a
+block of rows gathers at most ``_BLOCK_CELLS`` terms over the whole
+stack, or one row of each matrix (``_blocks``): at n = 200 a call holds
+one matrix, and a stack gathers no more at a time than one matrix does.
+The sweeps run over a universal diagonal, so the meet they take for
+(i, j) runs over the k other than i and j: in the sweep that changes
+nothing it is Algorithm 1's Q_ij, which
+:func:`rcckit.redundancy.core_algorithm1` takes from there.  For
+networks over a tractable subclass (basic networks among them) the
+closure decides consistency; ``_closure_decides`` is the test of that
+for a network, and ``_fit`` the one test that a subalgebra holds a
+network.  ``_entailed`` reads the same answer for every widened network
+of an entailment question off one bincount of the network's masks.
 One helper, ``_terms``, gathers the terms R_ik . R_kj of a block of rows
 through a uint16 index into the composition table (every mask is at
 most the universal one, and 2 * size <= 16 bits): ``_gathers`` takes
@@ -19,14 +28,18 @@ tests the gather directly.  The closure AND-reduces it, and only a
 block's first computation takes every k; a later one takes the k whose
 row changed since that block was last computed (``changed >= computed``,
 a row its own write moved included) and ANDs their terms into the
-block's previous meets.  The schedule of blocks and sweeps, and so the
-closed matrix, the counts, the witness and Q, are those of recomputing
-every block in full.
+block's previous meets.  For a single matrix the schedule of blocks and
+sweeps, and so the closed matrix, the counts, the witness and Q, are
+those of recomputing every block in full.
 
 The backtracking oracle asks one question, through one probe, ``_narrow``:
 does the network keep a solution once some entries are narrowed?  The
 network is closed from scratch once, by :func:`_close`, and handed to the
-probes as a list matrix (``_closed``).  Each probe copies that matrix,
+probes as a list matrix (``_closed``).  Entailment asks it for many
+pairs of one network at a time (``_entailed``, behind :func:`entails` and
+the redundancy engines): each pair is widened to universal in one stack,
+the stack is closed in one call, and each pair's basic pins are probed
+on its own closed matrix.  Each probe copies the closed matrix,
 intersects its pins and re-closes from the pinned pairs alone with the
 oracle's pair-queue propagator ``_pca_lists``, and the search branches
 through the same probe, carrying down the pairs still non-basic so that
@@ -54,7 +67,7 @@ from .errors import (
     MembershipError,
     NetworkShapeError,
 )
-from .network import Network, _upper_pairs, restrict
+from .network import Network, _upper_pairs
 
 __all__ = [
     "AClosureResult",
@@ -73,7 +86,8 @@ __all__ = [
 
 DEFAULT_GUARD = 12
 
-# bounds the entries of the temporary gathered per block of rows (_blocks)
+# bounds the terms gathered per block of rows of a stack, and the entries
+# of the matrices one closure call holds (_blocks)
 _BLOCK_CELLS = 2 ** 15
 
 
@@ -156,21 +170,26 @@ def _pca_lists(calc, m: list[list[int]],
 
 def _terms(calc, rows: np.ndarray, m: np.ndarray,
            ks=slice(None)) -> np.ndarray:
-    """comp[rows[i, k], m[k, j]] at [i, k, j], for the k in ``ks`` (every
-    k by default): the terms of the rule for a block of rows of m."""
+    """comp[rows[..., i, k], m[..., k, j]] at [..., i, k, j], for the k in
+    ``ks`` (every k by default): the terms of the rule for a block of rows
+    of m, or for the same block of every matrix of a stack."""
     # comp_table[r, s] sits at (r << size) | s of the flattened table.
     # Every mask is at most universal and 2 * size <= 16, so the index is
     # built in uint16 (NEP 50 keeps uint16 << int in uint16) and read by
     # np.take, about a quarter cheaper than an intp index
-    pairs = (rows[:, ks, None] << calc.size) | m[ks]
+    pairs = (rows[..., ks, None] << calc.size) | m[..., None, ks, :]
     return calc.comp_table.ravel().take(pairs)
 
 
-def _blocks(n: int) -> list[slice]:
-    """The blocks of rows of an n-variable matrix, in order: each gathers
-    at most ``_BLOCK_CELLS`` entries, or one row."""
-    height = max(1, _BLOCK_CELLS // (n * n))
-    return [slice(lo, lo + height) for lo in range(0, n, height)]
+def _blocks(cells: int, total: int) -> list[slice]:
+    """Consecutive slices of range(total), each of max(1, _BLOCK_CELLS //
+    cells) items of ``cells`` entries: the blocks of rows of a stack of
+    p n-variable matrices, in order, each row gathering p * n * n terms;
+    and the stacks of n-variable matrices one :func:`_close` call holds,
+    each matrix holding n * n entries.  Either way a block holds at most
+    ``_BLOCK_CELLS`` of them, or one item."""
+    height = max(1, _BLOCK_CELLS // cells)
+    return [slice(lo, lo + height) for lo in range(0, total, height)]
 
 
 def _gathers(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
@@ -178,19 +197,24 @@ def _gathers(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     for its rows i, the gather G[i, j, k] = comp[m[i, j], m[j, k]].  Each
     block reads m when it is computed, so a caller may write a block back
     before the next one is computed."""
-    for block in _blocks(m.shape[0]):
+    n = m.shape[0]
+    for block in _blocks(n * n, n):
         yield block, _terms(calc, m[block], m)
 
 
-def _close(calc, m: np.ndarray) -> tuple:
-    """Enforce path consistency on a uint16 mask matrix in place.
+def _close(calc, m: np.ndarray) -> list[tuple]:
+    """Enforce path consistency on a stack of uint16 mask matrices
+    (p, n, n) in place; a single matrix is a stack of one.
 
-    Sweeps the rows in blocks (:func:`_blocks`), narrowing each block to
-    its meets AND_k comp[m[i, k], m[k, :]] and mirroring its converse into
+    Sweeps the rows in blocks, the same block of every matrix at once,
+    each gathering at most ``_BLOCK_CELLS`` terms over the whole stack or
+    one row of each matrix (:func:`_blocks`).  Each block is narrowed to
+    its meets AND_k comp[m[i, k], m[k, :]] and its converse mirrored into
     the matching columns, until a sweep changes nothing.  Entries only
-    shrink, so the sweeps terminate.  Returns (witness, updates, sweeps,
-    q, terms): the first three and ``terms`` as in
-    :class:`AClosureResult`, witness None on success.
+    shrink, so the sweeps terminate.  A matrix leaves the stack when a
+    sweep changes nothing in it or when it empties an entry.  Returns,
+    per matrix, (witness, updates, sweeps, q, terms): the first three and
+    ``terms`` as in :class:`AClosureResult`, witness None on success.
 
     The sweeps run over a universal diagonal, restored to EQ on return:
     * . r = r . * = * for every nonempty r, so the k = i and k = j terms,
@@ -204,69 +228,124 @@ def _close(calc, m: np.ndarray) -> tuple:
     the mirror, so marking the changed rows covers both.  Entries only
     shrink and composition is monotone, so q already holds the term of
     every k whose row has not changed since the block was last computed:
-    a later computation gathers the changed rows alone and ANDs their
-    terms into the block's q rows, which so stay the exact full meet.
-    The block's own write changes rows it read, so the test is
-    ``changed >= computed``, not ``>``; a block holding every row would
-    otherwise miss its own changes.  A block with no changed row keeps
-    its q rows, which its rows already equal, and is skipped.
+    a later computation gathers the rows changed in any matrix of the
+    stack and ANDs their terms into the block's q rows, which so stay the
+    exact full meet.  The block's own write changes rows it read, so the
+    test is ``changed >= computed``, not ``>``; a block holding every row
+    would otherwise miss its own changes.  A block with no changed row
+    keeps its q rows, which its rows already equal, and is skipped.
+
+    A single matrix so takes the schedule, and so the updates, sweeps,
+    terms, witness and Q, of recomputing every block in full.  The closure
+    is the one fixed point of the rule whatever the schedule, so each
+    matrix of a larger stack reaches the closed matrix, the verdict and
+    the Q it reaches alone; its counts and its witness follow the stack's
+    blocks.
     """
+    p, n = m.shape[:2]
+    out = [None] * p
+    ids = np.arange(p)
+    # the live matrices: m itself until one leaves, then a compact copy
+    live = m
     if not m.all():
-        i, j = np.argwhere(m == 0)[0].tolist()
-        return (i, i, j), 0, 0, None, 0
+        full = m.all(axis=(1, 2))
+        for t in (~full).nonzero()[0].tolist():
+            i, j = np.argwhere(m[t] == 0)[0].tolist()
+            out[t] = (i, i, j), 0, 0, None, 0
+        ids = ids[full]
+        if not ids.size:
+            return out
+        live = m[ids]
+    touched = ids[:, None]
     conv = calc.conv_table
     star = calc.universal
-    n = m.shape[0]
-    # diagonal cells lie n + 1 apart in m flattened, and in a block of rows
+    diagonal = np.arange(n)
+    live[:, diagonal, diagonal] = star
+    # diagonal cells lie n + 1 apart in a block of rows flattened
     step = n + 1
-    m.flat[::step] = star
-    blocks = _blocks(n)
+    blocks = _blocks(ids.size * n * n, n)
     # the clock ticks once per block computed: when each block was last
-    # computed and each row last changed, -1 before the first computation
-    # so that it gathers every row
+    # computed and each row last changed in a matrix of the stack, -1
+    # before the first computation so that it gathers every row
     computed = [-1] * len(blocks)
     changed_at = np.full(n, -1)
     clock = 0
-    q = np.empty_like(m)
-    witness = None
-    updates = sweeps = terms = 0
-    changed = True
-    while changed and witness is None:
-        changed = False
+    q = np.empty_like(live)
+    updates = [0] * ids.size
+    sweeps = terms = 0
+    while ids.size:
         sweeps += 1
+        # per block written in this sweep, the matrix of each cell it moved
+        moves = []
+        # the matrices that emptied an entry in this sweep: they keep their
+        # rows as they were and leave at its end
+        emptied = []
         for b, block in enumerate(blocks):
             ks = (changed_at >= computed[b]).nonzero()[0]
             if not ks.size:
                 continue
             computed[b] = clock
             clock += 1
-            rows = m[block]
-            terms += rows.shape[0] * ks.size * n
+            rows = live[:, block]
+            terms += rows.shape[1] * ks.size * n
             if ks.size == n:
                 # the full meet: a slice reads faster than an index array
-                new = np.bitwise_and.reduce(_terms(calc, rows, m), axis=1)
+                new = np.bitwise_and.reduce(_terms(calc, rows, live),
+                                            axis=-2)
             else:
-                new = q[block] & np.bitwise_and.reduce(
-                    _terms(calc, rows, m, ks), axis=1)
-            q[block] = new
+                new = q[:, block] & np.bitwise_and.reduce(
+                    _terms(calc, rows, live, ks), axis=-2)
+            q[:, block] = new
             new &= rows
-            new.reshape(-1)[block.start::step] = star
-            moved_i, moved_k = (new != rows).nonzero()
-            if not moved_i.size:
+            new.reshape(ids.size, -1)[:, block.start::step] = star
+            if emptied:
+                new[emptied] = rows[emptied]
+            moved_t, moved_i, moved_k = (new != rows).nonzero()
+            if not moved_t.size:
                 continue
             if not new.all():
-                r, j = np.argwhere(new == 0)[0].tolist()
-                witness = _witness(calc, m, block.start + r, j)
-                break
-            updates += moved_i.size
-            changed = True
+                for t in (~new.all(axis=(1, 2))).nonzero()[0].tolist():
+                    r, j = np.argwhere(new[t] == 0)[0].tolist()
+                    done = updates[t] + sum(int(np.count_nonzero(cells == t))
+                                            for cells in moves)
+                    out[ids[t]] = (_witness(calc, live[t], block.start + r, j),
+                                   done, sweeps, None, terms)
+                    emptied.append(t)
+                if len(emptied) == ids.size:
+                    break
+                new[emptied] = rows[emptied]
+                moved_t, moved_i, moved_k = (new != rows).nonzero()
+            moves.append(moved_t)
             rows[:] = new
-            m[:, block] = conv[new].T
+            live[:, :, block] = conv[new].transpose(0, 2, 1)
             # a change at (i, k) changes row k too, through the mirror
             changed_at[block][moved_i] = computed[b]
             changed_at[moved_k] = computed[b]
-    m.flat[::step] = calc.identity
-    return witness, updates, sweeps, (q if witness is None else None), terms
+        moved = [0] * ids.size
+        if moves:
+            moved = np.bincount(np.concatenate(moves),
+                                minlength=ids.size).tolist()
+        # a matrix that changed nothing in the sweep is closed
+        stay, left = [], []
+        for t, count in enumerate(moved):
+            updates[t] += count
+            if t in emptied:
+                left.append(t)
+            elif count:
+                stay.append(t)
+            else:
+                left.append(t)
+                out[ids[t]] = None, updates[t], sweeps, q[t], terms
+        if not left:
+            continue
+        if live is not m:
+            m[ids[left]] = live[left]
+        if not stay:
+            break
+        live, q, ids = live[stay], q[stay], ids[stay]
+        updates = [updates[t] for t in stay]
+    m[touched, diagonal, diagonal] = calc.identity
+    return out
 
 
 def _witness(calc, m: np.ndarray, i: int, j: int) -> tuple[int, int, int]:
@@ -290,7 +369,7 @@ def a_closure(net: Network) -> AClosureResult:
     is independent of the processing order.
     """
     m = net.matrix.copy()
-    witness, updates, sweeps, _, terms = _close(net.calculus, m)
+    (witness, updates, sweeps, _, terms), = _close(net.calculus, m[None])
     if witness is not None:
         return AClosureResult(False, None, witness, updates, sweeps, terms)
     out = Network(net.calculus, net.n, net.labels)
@@ -378,7 +457,7 @@ def _closed(net: Network) -> Optional[list[list[int]]]:
     """The network closed from scratch by :func:`_close`, as a list
     matrix for the oracle's probes, or None when it is inconsistent."""
     m = net.matrix.copy()
-    if _close(net.calculus, m)[0] is not None:
+    if _close(net.calculus, m[None])[0][0] is not None:
         return None
     return m.tolist()
 
@@ -470,30 +549,70 @@ def enumerate_scenarios(net: Network,
         yield out
 
 
+def _entailed(net: Network, queries,
+              guard: int) -> list[Optional[bool]]:
+    """Per query (i, j, outside), i != j: has the network with (i, j)
+    widened to universal no solution that places (v_i, v_j) in a basic
+    of ``outside``?  None where that needs a search and n > guard.
+
+    One :func:`_close` call per stack of :func:`_blocks` closes the
+    widened networks, and each runs its pins (i, j, basic) through
+    :func:`_solvable`, searching only where the closure does not decide
+    it.  One bincount of the network's masks tells where: a widened
+    network holds those masks, less any that only (i, j) and (j, i) held,
+    and the universal relation, which lies in every built-in subalgebra
+    with every basic; so it fits a tractable one exactly when each of the
+    network's masks outside that one is held at (i, j) or (j, i) alone.
+    """
+    calc = net.calculus
+    m = net.matrix
+    counts = np.bincount(m.ravel())
+    masks = set(np.flatnonzero(counts).tolist())
+    misfits = [masks - sub.members for sub in _tractable(calc)]
+    out = [True] * len(queries)
+    todo = []
+    for t, (i, j, outside) in enumerate(queries):
+        if not outside:
+            continue
+        a, b = int(m[i, j]), int(m[j, i])
+        alone = {x for x in (a, b) if counts[x] == (a == x) + (b == x)}
+        search = not any(miss <= alone for miss in misfits)
+        if search and net.n > guard:
+            out[t] = None
+            continue
+        pins = [(i, j, 1 << bit) for bit in range(calc.size)
+                if outside >> bit & 1]
+        todo.append((t, i, j, pins, search))
+    for batch in _blocks(net.n ** 2, len(todo)):
+        part = todo[batch]
+        stack = np.repeat(m[None], len(part), axis=0)
+        at = np.arange(len(part))
+        wide_i, wide_j = np.array([(i, j) for _, i, j, _, _ in part]).T
+        stack[at, wide_i, wide_j] = stack[at, wide_j, wide_i] = calc.universal
+        for (t, _, _, pins, search), (witness, *_), closed in zip(
+                part, _close(calc, stack), stack):
+            base = None if witness is not None else closed.tolist()
+            out[t] = not any(_solvable(net, base, pins, guard, search))
+    return out
+
+
 def entails(net: Network, i: int, j: int, r: Relation,
             guard: int = DEFAULT_GUARD) -> bool:
     """Does every solution place (v_i, v_j) inside r?
 
     Decided basic-by-basic: the network entails r iff pinning the (i, j)
-    entry to any basic outside r leaves no solution.  Each basic and the
-    universal relation lie in every built-in subalgebra, so one detection
-    on the network with (i, j) widened to universal covers every probe.
+    entry to any basic outside r leaves no solution.  Those basics lie
+    inside the entry, so the pins go into the network with (i, j) widened
+    to universal, as :func:`_entailed` decides them.
     """
     if i == j:
         raise NetworkShapeError("entailment is defined for distinct variables")
-    calc = net.calculus
-    if r.calculus is not calc:
+    if r.calculus is not net.calculus:
         raise NetworkShapeError("relation from a different calculus")
-    outside = net.mask(i, j) & ~r.mask
-    pins = [(i, j, 1 << b) for b in range(calc.size) if outside >> b & 1]
-    if not pins:
-        return True
-    wide = net
-    if net.mask(i, j) != calc.universal:
-        wide = net.copy()
-        wide.set_mask(i, j, calc.universal)
-    return not any(_solvable(net, _closed(net), pins, guard,
-                             not _closure_decides(wide)))
+    verdict, = _entailed(net, [(i, j, net.mask(i, j) & ~r.mask)], guard)
+    if verdict is None:
+        _check_guard(net.n, guard)
+    return verdict
 
 
 @dataclass
@@ -538,7 +657,9 @@ def check_weak_global(net: Network, guard: int = DEFAULT_GUARD) -> bool:
     Every consistent scenario of every restriction (sizes 2..n-1, in
     increasing order, short-circuiting on the first failure) must extend
     to a consistent scenario of the whole network.  Restrictions to one
-    variable and to all variables extend trivially and are skipped.
+    variable and to all variables extend trivially and are skipped.  The
+    restrictions of one size close together, one :func:`_close` call per
+    stack of :func:`_blocks`.
     """
     from itertools import combinations
 
@@ -546,11 +667,18 @@ def check_weak_global(net: Network, guard: int = DEFAULT_GUARD) -> bool:
     calc = net.calculus
     base = _closed(net)
     for size in range(2, net.n):
-        for subset in combinations(range(net.n), size):
-            for scenario in _scenarios(calc, _closed(restrict(net, subset))):
-                pins = [(i, j, scenario[a][b]) for (a, i), (b, j)
-                        in combinations(enumerate(subset), 2)]
-                if base is None or _narrow(calc, base, pins,
-                                           search=True) is None:
-                    return False
+        subsets = list(combinations(range(net.n), size))
+        for batch in _blocks(size ** 2, len(subsets)):
+            part = np.array(subsets[batch])
+            stack = net.matrix[part[:, :, None], part[:, None, :]]
+            for subset, (witness, *_), closed in zip(
+                    subsets[batch], _close(calc, stack), stack):
+                if witness is not None:
+                    continue
+                for scenario in _scenarios(calc, closed.tolist()):
+                    pins = [(i, j, scenario[a][b]) for (a, i), (b, j)
+                            in combinations(enumerate(subset), 2)]
+                    if base is None or _narrow(calc, base, pins,
+                                               search=True) is None:
+                        return False
     return True

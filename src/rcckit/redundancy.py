@@ -25,6 +25,18 @@ outside every maximal distributive subalgebra (H5, say) runs the fold.
 constraints one at a time in a caller-chosen order; on distributive
 all-different inputs it is order-independent and agrees with the cubic
 algorithm.
+
+:func:`core` and the fold decide redundancy per constraint through
+``reasoning._entailed``, which closes every widened network of one call
+as one stack (``reasoning._close``).  :func:`core` makes one such call
+over all its constraints.  The fold first makes the same call on its
+input and keeps every constraint found non-redundant there: the fold
+only widens, and if N - c has a solution outside c, so does every
+weaker network N' - c, so non-redundant in N is final.  It tests the
+other constraints one at a time, in order, against the current network.
+Above the guard the first call never searches, so the fold raises
+:class:`GuardExceededError` exactly where testing every constraint in
+turn would.
 """
 
 from __future__ import annotations
@@ -42,16 +54,17 @@ from .errors import (
     NetworkShapeError,
     NotAllDifferentError,
 )
-from .network import Network, _upper_pairs, remove_constraint
+from .network import Network, _upper_pairs
 from .reasoning import (
     DEFAULT_GUARD,
     _basic_pins,
+    _check_guard,
     _close,
     _closed,
+    _entailed,
     _fit,
     _solvable,
     a_closure,
-    entails,
     is_consistent,
 )
 
@@ -102,23 +115,37 @@ def is_redundant(net: Network, i: int, j: int,
     """
     if i == j:
         raise NetworkShapeError("redundancy is about off-diagonal constraints")
-    rel = net.entry(i, j)
-    if rel.is_universal:
-        return True
-    return entails(remove_constraint(net, i, j), i, j, rel, guard=guard)
+    verdict, = _redundant(net, [(i, j)], guard)
+    if verdict is None:
+        _check_guard(net.n, guard)
+    return verdict
+
+
+def _redundant(net: Network, pairs, guard: int) -> list[Optional[bool]]:
+    """Per pair: is its constraint redundant in the network?  One
+    :func:`reasoning._entailed` call, so None where that needs a search
+    and n > guard."""
+    star = net.calculus.universal
+    return _entailed(net, [(i, j, star & ~net.mask(i, j)) for i, j in pairs],
+                     guard)
 
 
 def core(net: Network, guard: int = DEFAULT_GUARD) -> RedundancyReport:
-    """Per-constraint redundancy sweep against the full network.
+    """Per-constraint redundancy sweep against the full network, every
+    constraint tested in one :func:`_redundant` call.
 
     The resulting core network need not be equivalent to the input when
     the input is not all-different over a distributive subalgebra.
     """
+    pairs = list(net.constraint_pairs())
+    verdicts = _redundant(net, pairs, guard)
+    if None in verdicts:
+        _check_guard(net.n, guard)
     out = net.copy()
-    for i, j in net.constraint_pairs():
-        if is_redundant(net, i, j, guard=guard):
+    for (i, j), redundant in zip(pairs, verdicts):
+        if redundant:
             out.set_mask(i, j, net.calculus.universal)
-    return _report(net, out, "sweep", net.constraint_count())
+    return _report(net, out, "sweep", len(pairs))
 
 
 _NEEDS_CONSISTENT = "a prime subnetwork needs a consistent network"
@@ -148,8 +175,11 @@ def prime_iterative(net: Network, order: Sequence[tuple[int, int]] = None,
         pairs = _normalized_order(net, order)
     current = net.copy()
     star = net.calculus.universal
-    for i, j in pairs:
-        if is_redundant(current, i, j, guard=guard):
+    # the fold only widens, and a solution of N - c outside c solves every
+    # weaker N' - c: a constraint not redundant in the input never is
+    screen = _redundant(net, pairs, guard)
+    for (i, j), verdict in zip(pairs, screen):
+        if verdict is not False and is_redundant(current, i, j, guard=guard):
             current.set_mask(i, j, star)
     return current
 
@@ -199,7 +229,7 @@ def core_algorithm1(net: Network,
     calc = net.calculus
     n = net.n
     closed = net.matrix.copy()
-    witness, _, _, q, _ = _close(calc, closed)
+    (witness, _, _, q, _), = _close(calc, closed[None])
     if witness is not None:
         raise InconsistentNetworkError(_NEEDS_CONSISTENT)
     equal = _upper_pairs(closed == calc.identity)

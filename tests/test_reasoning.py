@@ -154,14 +154,14 @@ def test_close_matches_the_queue_reference():
             ref_witness = _pca_lists(net.calculus, ref,
                                      list(net.constraint_pairs()))
             m = net.matrix.copy()
-            witness, updates, sweeps, _, _ = _close(net.calculus, m)
+            witness, updates, sweeps, _, _ = _close(net.calculus, m[None])[0]
             assert (witness is None) == (ref_witness is None), n
             verdicts.add(witness is None)
             if witness is None:
                 assert np.array_equal(m, np.array(ref, dtype=np.uint16)), n
                 assert (updates > 0) == (not np.array_equal(m, net.matrix))
                 assert (sweeps > 1) == (updates > 0)
-                assert _close(net.calculus, m)[:3] == (None, 0, 1)
+                assert _close(net.calculus, m[None])[0][:3] == (None, 0, 1)
             else:
                 assert len(set(witness)) == 3, (n, witness)
     assert verdicts == {True, False}
@@ -209,7 +209,7 @@ def test_close_matches_the_eq_diagonal_sweep(monkeypatch, cells):
             expected = _eq_diagonal_close(calc, ref)
             # _close sweeps over a universal diagonal
             m = net.matrix.copy()
-            *got, q, _ = _close(calc, m)
+            *got, q, _ = _close(calc, m[None])[0]
             assert tuple(got) == expected, n
             assert np.array_equal(m, ref), n
             assert (np.diagonal(m) == calc.identity).all(), n
@@ -238,7 +238,7 @@ def _assert_close_matches_the_reference(net):
     want_m = net.matrix.copy()
     *want, want_q, want_terms = closure_reference.close(calc, want_m)
     m = net.matrix.copy()
-    *got, q, terms = _close(calc, m)
+    *got, q, terms = _close(calc, m[None])[0]
     assert got == want, net.n
     assert np.array_equal(m, want_m), net.n
     assert terms <= want_terms, net.n
@@ -338,6 +338,60 @@ def _widened_scenarios(draw):
 def test_delta_sweeps_match_the_reference_property(net, cells):
     with mock.patch.object(reasoning, "_BLOCK_CELLS", cells):
         _assert_close_matches_the_reference(net)
+
+
+def _stack_inputs(n, seed, rcc5):
+    """Matrices of one size to close as a stack: _closure_inputs (a
+    weakened scenario and two likely inconsistent networks), the closure
+    of the first, and the second with an empty entry."""
+    nets = _closure_inputs(n, seed, rcc5)
+    return [*nets, a_closure(nets[0]).network,
+            _with_empty_entry(nets[1], seed)]
+
+
+@pytest.mark.parametrize("cells", [2 ** 15, 2 ** 12],
+                         ids=["default-blocks", "small-blocks"])
+def test_a_stack_closes_as_each_matrix_alone(monkeypatch, cells):
+    # a stack's blocks hold fewer rows than one matrix's, down to one row,
+    # so that a matrix may empty an entry before the last block of a sweep
+    monkeypatch.setattr(reasoning, "_BLOCK_CELLS", cells)
+    paths = set()
+    for rcc5, n in itertools.product((True, False),
+                                     (2, 3, 5, 8, 11, 17, 30, 40)):
+        nets = [net for seed in range(3)
+                for net in _stack_inputs(n, 600 + 10 * n + seed, rcc5)]
+        random.Random(n).shuffle(nets)
+        calc = nets[0].calculus
+        stack = np.array([net.matrix for net in nets])
+        results = _close(calc, stack)
+        assert len(results) == len(nets)
+        for net, closed, (witness, _, sweeps, q, _) in zip(nets, stack,
+                                                          results):
+            alone = net.matrix.copy()
+            want, _, _, want_q, _ = _close(calc, alone[None])[0]
+            ref = net.matrix.copy()
+            ref_witness, _, _, ref_q, _ = closure_reference.close(calc, ref)
+            assert (witness is None) == (want is None) \
+                == (ref_witness is None), n
+            if witness is None:
+                # the closure, and Q of it, whatever the blocks
+                assert np.array_equal(closed, alone), n
+                assert np.array_equal(closed, ref), n
+                off = ~np.eye(n, dtype=bool)
+                assert np.array_equal(q[off], want_q[off]), n
+                assert np.array_equal(q[off], ref_q[off]), n
+                paths.add("closed")
+            elif sweeps == 0:
+                # an empty input entry is its own witness, at any size
+                assert witness == want == ref_witness, n
+                assert np.array_equal(closed, net.matrix), n
+                paths.add("empty")
+            else:
+                i, k, j = witness
+                assert len({i, k, j}) == 3 and q is None, n
+                assert (np.diagonal(closed) == calc.identity).all(), n
+                paths.add("witness")
+    assert paths == {"closed", "witness", "empty"}
 
 
 @pytest.mark.parametrize("cells", [2 ** 15, 2 ** 8],

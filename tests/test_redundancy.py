@@ -6,18 +6,21 @@ import time
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import closure_reference
+import redundancy_reference
 import util_instances as gen
 from rcckit import RCC5, RCC8, Network, reasoning, redundancy
 from rcckit.algebra import Subalgebra, bhat, d5_14, d5_20, d8_41, d8_64, h5
 from rcckit.errors import (
+    GuardExceededError,
     InconsistentNetworkError,
     MembershipError,
     NetworkShapeError,
     NotAllDifferentError,
 )
-from rcckit.network import remove_constraint, save
+from rcckit.network import remove_constraint, save, to_rcc5
 from rcckit.reasoning import a_closure
 from rcckit.redundancy import (
     core,
@@ -477,3 +480,115 @@ def test_weaken_scenario_matches_the_pair_loop(sub):
             got.validate()
             # the same draws, in the same order
             assert rng.getstate() == ref.getstate()
+
+
+# core and the fold against the per-constraint engines they replaced
+# (redundancy_reference): one stacked closure for every constraint, and a
+# fold that keeps without a test what that closure proves non-redundant
+
+
+def _oracle_sweep_kinds(n, seed):
+    """A D8_64 and a D5_20 weakened scenario and an intractable RCC8
+    network, the three kinds of the oracle-sweep benchmark."""
+    rng = random.Random(seed)
+    scenario = gen.random_scenario(n, seed)
+    return (weaken_scenario(scenario, d8_64(), rng),
+            weaken_scenario(to_rcc5(scenario), d5_20(), rng),
+            gen.intractable_network(n, seed))
+
+
+def _assert_matches_the_per_pair_reference(net, rng):
+    _assert_same_report(core(net), redundancy_reference.core(net))
+    order = list(net.constraint_pairs())
+    rng.shuffle(order)
+    assert (prime_iterative(net, order)
+            == redundancy_reference.prime_iterative(net, order))
+
+
+def test_core_and_fold_match_the_per_pair_reference():
+    rng = random.Random(11)
+    kept = set()
+    for n in range(3, 12):
+        for net in _oracle_sweep_kinds(n, 1200 + n):
+            for _ in range(2):
+                _assert_matches_the_per_pair_reference(net, rng)
+            kept.add(len(core(net).nontrivial) < net.constraint_count())
+    assert kept == {True}
+
+
+@settings(max_examples=40, deadline=None)
+@given(gen.networks(), st.randoms(use_true_random=False))
+def test_core_and_fold_match_the_per_pair_reference_property(net, rng):
+    _assert_matches_the_per_pair_reference(net, rng)
+
+
+def _above_the_guard():
+    """13 variables over D8_41 but for one entry, a relation outside every
+    built-in tractable subalgebra that the rest of the network entails:
+    the a-closure decides that entry's redundancy, and only a search the
+    others'.  Returns the network and the entry's pair."""
+    net = weaken_scenario(gen.random_scenario(13, 5), d8_41(),
+                          random.Random(5))
+    assert net.n > reasoning.DEFAULT_GUARD
+    i, j = next(net.constraint_pairs())
+    entailed = a_closure(remove_constraint(net, i, j)).network.mask(i, j)
+    for mask in range(entailed, RCC8.universal):
+        if mask & entailed == entailed:
+            net.set_mask(i, j, mask)
+            if reasoning.detect_tractable(net) is None:
+                return net, (i, j)
+    raise AssertionError("no intractable relation above the entailed one")
+
+
+def test_the_fold_raises_above_the_guard_where_the_reference_does():
+    net, pair = _above_the_guard()
+    rest = [p for p in net.constraint_pairs() if p != pair]
+    # dropped first, the entry leaves a network the closure decides
+    first = [pair, *rest]
+    folded = prime_iterative(net, first)
+    assert folded == redundancy_reference.prime_iterative(net, first)
+    assert folded.mask(*pair) == RCC8.universal
+    # tested later, the first constraint before it needs a search
+    for order in ([rest[0], pair, *rest[1:]], [*rest, pair]):
+        with pytest.raises(GuardExceededError):
+            redundancy_reference.prime_iterative(net, order)
+        with pytest.raises(GuardExceededError):
+            prime_iterative(net, order)
+    with pytest.raises(GuardExceededError):
+        redundancy_reference.core(net)
+    with pytest.raises(GuardExceededError):
+        core(net)
+
+
+def _counting_closes(monkeypatch):
+    calls = []
+    close = reasoning._close
+
+    def counting(calc, m):
+        calls.append(len(m))
+        return close(calc, m)
+
+    monkeypatch.setattr(reasoning, "_close", counting)
+    return calls
+
+
+def test_core_closes_once(monkeypatch):
+    net = _oracle_sweep_kinds(10, 1210)[0]
+    want = redundancy_reference.core(net)
+    calls = _counting_closes(monkeypatch)
+    _assert_same_report(core(net), want)
+    assert calls == [net.constraint_count()]
+
+
+def test_the_fold_closes_once_more_per_pair_left_open(monkeypatch):
+    net = _oracle_sweep_kinds(10, 1210)[0]
+    # over D8_64 the pairs the first closure leaves open are the redundant
+    open_pairs = len(redundancy_reference.core(net).nontrivial)
+    assert 0 < open_pairs < net.constraint_count() - 1
+    order = list(net.constraint_pairs())
+    random.Random(3).shuffle(order)
+    want = redundancy_reference.prime_iterative(net, order)
+    calls = _counting_closes(monkeypatch)
+    assert prime_iterative(net, order) == want
+    assert calls[0] == net.constraint_count()
+    assert len(calls) <= 1 + open_pairs
