@@ -13,13 +13,22 @@ The decision table for a pair of regions:
     EC     interiors disjoint, boundaries touching
     DC     otherwise
 
-A pair of convex regions is decided in integer arithmetic alone, by
-separating axes.  Each region keeps its edge normals, reduced and
-deduplicated, with its extent along each.  A strict gap along one of the
-two regions' normals means DC, a gap of zero width EC.  Otherwise the
-interiors overlap, and a convex region lies in the closed (or open) other
-one exactly when its extent along each of the other's normals does, which
-is vertex containment.
+Convex pairs are decided in integer arithmetic alone, by separating
+axes, all the box-overlapping pairs of a scene in one numpy pass
+(``_convex_masks``).  Each region keeps a table, made once, of its
+vertices and of each edge's outward normal with the edge line's offset.
+Per pair, one region's vertices are projected onto the other's normals
+and back: two convex regions are apart exactly when one lies beyond the
+line of an edge of the other, so a strict gap is DC and a gap of zero
+width EC; otherwise the interiors overlap, and a convex region lies in
+the closed (or open) other exactly when its vertices lie within (or
+strictly within) the lines of all the other's edges.  The pairs run in
+blocks of at most ``_BLOCK_CELLS`` padded (task, vertex, edge) cells,
+each block padded to its own largest ring, and a pair too large for one
+block is split along its edges and vertices.  Projections are int64 when
+every |coordinate| is below 2**30, which keeps them below 2**62, and
+Python ints otherwise: exact either way.  One pair, as
+:func:`rcc8_relation` asks, is a scene of one pair.
 
 Only a pair with a non-convex region takes the general predicates:
 boundary sub-segments (each polygon's edges split at every crossing with
@@ -32,7 +41,6 @@ vertex on the other boundary.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import random
 from dataclasses import dataclass
@@ -158,24 +166,6 @@ def _turns(ring) -> int:
     return sum(upper[i] and not upper[i - 1] for i in range(len(upper)))
 
 
-def _axis(p, q) -> tuple[int, int]:
-    """Normal of edge pq reduced by its gcd, signed so that x > 0 or
-    x == 0 < y: parallel edges share one axis."""
-    nx, ny = q[1] - p[1], p[0] - q[0]
-    g = math.gcd(nx, ny)
-    nx, ny = nx // g, ny // g
-    if nx < 0 or (nx == 0 and ny < 0):
-        nx, ny = -nx, -ny
-    return nx, ny
-
-
-def _extent(ring, axis) -> tuple[int, int]:
-    """Least and greatest projection of the ring's vertices onto axis."""
-    nx, ny = axis
-    proj = [nx * x + ny * y for x, y in ring]
-    return min(proj), max(proj)
-
-
 @dataclass(frozen=True)
 class BoundingBox:
     xmin: int
@@ -230,12 +220,7 @@ class Region:
             self._check_crossings()
         self._check_spikes()
         self.bbox = BoundingBox.of_ring(ring)
-        # reduced edge normals, one per direction, for the convex predicate
-        self.axes: tuple[tuple[int, int], ...] = ()
-        if self.convex:
-            self.axes = tuple(dict.fromkeys(
-                _axis(a, b) for a, b in _edges(ring)))
-        self._extents = None
+        self._table = None
         self._interior = None
 
     def _check_crossings(self) -> None:
@@ -263,12 +248,21 @@ class Region:
                     raise GeometryError(
                         f"region {self.id!r}: boundary spike at {v}")
 
-    def extents(self) -> dict[tuple[int, int], tuple[int, int]]:
-        """The ring's extent along each of its axes, computed once."""
-        if self._extents is None:
-            self._extents = {axis: _extent(self.ring, axis)
-                             for axis in self.axes}
-        return self._extents
+    def _array(self) -> np.ndarray:
+        """The separating-axis table, made once, one row per vertex: its
+        x and y, the outward normal nx, ny of the edge leaving it, and
+        c = -(nx * x + ny * y), so that nx * px + ny * py + c is positive
+        exactly where point p lies beyond the edge's line.  int64 when
+        every |coordinate| is below ``_INT64_BOUND``, Python ints
+        otherwise."""
+        if self._table is None:
+            rows = [(x, y, b[1] - y, x - b[0])
+                    for (x, y), b in _edges(self.ring)]
+            small = all(abs(v) < _INT64_BOUND for p in self.ring for v in p)
+            self._table = np.array(
+                [(x, y, nx, ny, -nx * x - ny * y) for x, y, nx, ny in rows],
+                dtype=np.int64 if small else object)
+        return self._table
 
     def interior_point(self):
         if self._interior is None:
@@ -304,50 +298,6 @@ def _boundary_probe(ring_a, ring_b):
     return some_in, some_out, touch
 
 
-def _along(ext, other: Region, out: dict) -> str | None:
-    """Put other's extent along each axis of ext into ``out``.  "DC" at
-    the first strict gap; otherwise "EC" if some gap has zero width."""
-    own = other.extents()
-    gap = None
-    for axis, (lo, hi) in ext.items():
-        lo_o, hi_o = out[axis] = own.get(axis) or _extent(other.ring, axis)
-        if hi_o < lo or hi < lo_o:
-            return "DC"
-        if hi_o == lo or hi == lo_o:
-            gap = "EC"
-    return gap
-
-
-def _inside(on, ext) -> tuple[bool, bool]:
-    """Do the extents ``on`` lie in ext's closed, and in its open,
-    intervals along every axis?"""
-    closed = strict = True
-    for axis, (lo, hi) in ext.items():
-        lo_o, hi_o = on[axis]
-        closed = closed and lo <= lo_o and hi_o <= hi
-        strict = strict and lo < lo_o and hi_o < hi
-    return closed, strict
-
-
-def _convex_relation(a: Region, b: Region) -> str:
-    ext_a, ext_b = a.extents(), b.extents()
-    b_on_a, a_on_b = {}, {}
-    gap = _along(ext_a, b, b_on_a)
-    if gap != "DC":
-        gap = _along(ext_b, a, a_on_b) or gap
-    if gap:
-        return gap
-    a_in_b, a_strict = _inside(a_on_b, ext_b)
-    b_in_a, b_strict = _inside(b_on_a, ext_a)
-    if a_in_b and b_in_a:
-        return "EQ"
-    if a_in_b:
-        return "NTPP" if a_strict else "TPP"
-    if b_in_a:
-        return "NTPPi" if b_strict else "TPPi"
-    return "PO"
-
-
 def _general_relation(a: Region, b: Region) -> str:
     ra, rb = a.ring, b.ring
     a_mid_in, a_mid_out, touch = _boundary_probe(ra, rb)
@@ -372,18 +322,144 @@ def _general_relation(a: Region, b: Region) -> str:
 # the mask of each RCC8 basic, by the name the predicates return
 _BASIC_MASK = {name: 1 << b for b, name in enumerate(RCC8.basic_names)}
 
+# every |coordinate| below this bounds nx * x + ny * y, with |nx|, |ny|
+# below 2 * _INT64_BOUND, under 2**62, and its sum with c under 2**63:
+# int64 holds every projection exactly
+_INT64_BOUND = 2 ** 30
+# padded cells (tasks x vertices x edges) one projection block holds
+_BLOCK_CELLS = 2 ** 15
 
-def _relation_mask(a: Region, b: Region) -> int:
-    """The mask of the unique RCC8 basic relation holding between two
-    regions, from the convex predicate when both are convex."""
-    if a.convex and b.convex:
-        return _BASIC_MASK[_convex_relation(a, b)]
-    return _BASIC_MASK[_general_relation(a, b)]
+
+def _decision(gap: int, b_out_a: int, a_out_b: int) -> str:
+    """The convex rule on the signs, each -1, 0 or 1, of the widest gap
+    between one region and the line of an edge of the other, of how far
+    the farthest vertex of b lies past the lines of a's edges, and of a
+    past b's.  A strict gap is DC, a gap of zero width EC; the interiors
+    overlap otherwise, and a convex region lies in the closed (or open)
+    other exactly when its vertices do."""
+    if gap >= 0:
+        return "DC" if gap else "EC"
+    if a_out_b <= 0 and b_out_a <= 0:
+        return "EQ"
+    if a_out_b <= 0:
+        return "NTPP" if a_out_b else "TPP"
+    if b_out_a <= 0:
+        return "NTPPi" if b_out_a else "TPPi"
+    return "PO"
+
+
+# the mask of a pair by the signs of the gaps of its two tasks and of
+# their overshoots, indexed by the signs themselves: -1 picks the last entry
+_DECIDE = np.array([[[[_BASIC_MASK[_decision(max(g, h), f, o)]
+                       for o in (0, 1, -1)] for f in (0, 1, -1)]
+                     for h in (0, 1, -1)] for g in (0, 1, -1)],
+                   dtype=np.uint16)
+
+
+def _blocks(size: np.ndarray):
+    """(tasks, most edges, most vertices) per block of tasks whose padded
+    cells, the block's length times its most edges times its most
+    vertices, stay within ``_BLOCK_CELLS``; a task past the budget alone
+    is a block of one.  ``size`` holds each task's edges and vertices in
+    two rows.  Sorted by edges, then vertices, so that tasks of one size
+    pad together."""
+    count = size.shape[1]
+    k, m = size.max(axis=1).tolist()
+    if count * k * m <= _BLOCK_CELLS:
+        return [(slice(None), k, m)]
+    order = np.lexsort(size[::-1])
+    ne, nv = size[:, order]
+    # a task has at least 3 edges and 3 vertices
+    window = _BLOCK_CELLS // 9
+    blocks = []
+    lo = 0
+    while lo < count:
+        span = slice(lo, lo + window)
+        most = np.maximum.accumulate(nv[span])
+        cells = np.arange(1, len(most) + 1) * ne[span] * most
+        hi = lo + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, "right")))
+        blocks.append((order[lo:hi], int(ne[hi - 1]), int(most[hi - lo - 1])))
+        lo = hi
+    return blocks
+
+
+def _convex_masks(regions: Sequence[Region], rows: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """The RCC8 mask of each pair (rows[p], cols[p]) of regions, by
+    separating axes over all the pairs at once: the relation when both
+    regions are convex, and meaningless otherwise.
+
+    Per pair, one task projects b's vertices onto a's outward edge
+    normals and one a's onto b's.  Two convex regions are apart exactly
+    when one lies beyond the line of an edge of the other, and a convex
+    region lies in another exactly when its vertices lie within the
+    lines of all the other's edges: per task, the widest gap is the
+    greatest over edges of the least over vertices of the projection
+    past the edge's line, and the overshoot the greatest over both.
+    Their signs decide the pair through ``_DECIDE``.  Tasks run in blocks
+    of at most ``_BLOCK_CELLS`` padded cells, tasks on the last axis; a
+    block of one task past it is split along its edges and vertices, with
+    running extremes.  The arithmetic is int64 when every |coordinate| is
+    below ``_INT64_BOUND``, exact Python ints otherwise.
+    """
+    pairs = len(rows)
+    if not pairs:
+        return np.empty(0, dtype=np.uint16)
+    # one column per vertex of every region
+    table = np.concatenate([r._array() for r in regions]).T
+    size = np.array([len(r.ring) for r in regions])
+    last = np.add.accumulate(size) - 1
+    # the owner of the edges (row 0) and of the vertices (row 1) of each
+    # task: task t < pairs puts b against a's edges, pairs + t a against b's
+    tasks = np.concatenate((rows, cols, cols, rows)).reshape(2, 2 * pairs)
+    size, last = size[tasks], last[tasks]
+    start = last - size + 1
+    # per task, its gap (row 0) and overshoot (row 1)
+    found = np.empty((2, 2 * pairs), dtype=table.dtype)
+    for sel, k, m in _blocks(size):
+        # per task, the table columns of its edges (row 0) and of its
+        # vertices (row 1), padded by repeating the last, which changes
+        # no extreme: (row, column, task)
+        picks = np.minimum(
+            start[:, None, sel] + np.arange(max(k, m))[:, None],
+            last[:, None, sel])
+        nx, ny, c = table[2:].take(picks[0, :k], axis=1)
+        x, y = table[:2].take(picks[1, :m], axis=1)
+        count = x.shape[1]
+        kstep = min(k, max(1, _BLOCK_CELLS // count))
+        mstep = max(1, _BLOCK_CELLS // (count * kstep))
+        gap = over = None
+        for e in range(0, k, kstep):
+            es = slice(e, e + kstep)
+            least = most = None
+            for v in range(0, m, mstep):
+                vs = slice(v, v + mstep)
+                proj = x[vs, None] * nx[None, es]
+                proj += y[vs, None] * ny[None, es]
+                lo = np.minimum.reduce(proj)
+                hi = np.maximum.reduce(proj)
+                least = lo if least is None else np.minimum(least, lo)
+                most = hi if most is None else np.maximum(most, hi)
+            widest = np.maximum.reduce(least + c[es])
+            farthest = np.maximum.reduce(most + c[es])
+            gap = widest if gap is None else np.maximum(gap, widest)
+            over = farthest if over is None else np.maximum(over, farthest)
+        found[0, sel], found[1, sel] = gap, over
+    signs = np.sign(found).astype(np.intp, copy=False).reshape(4, pairs)
+    return _DECIDE[signs[0], signs[1], signs[2], signs[3]]
+
+
+_ONE_PAIR = (np.array([0]), np.array([1]))
 
 
 def rcc8_relation(a: Region, b: Region) -> Relation:
-    """The unique RCC8 basic relation holding between two regions."""
-    return Relation(RCC8, _relation_mask(a, b))
+    """The unique RCC8 basic relation holding between two regions; two
+    convex ones go to the convex kernel as a scene of one pair."""
+    if a.convex and b.convex:
+        mask = int(_convex_masks([a, b], *_ONE_PAIR)[0])
+    else:
+        mask = _BASIC_MASK[_general_relation(a, b)]
+    return Relation(RCC8, mask)
 
 
 def _apart(regions: Sequence[Region]) -> np.ndarray:
@@ -395,9 +471,10 @@ def _apart(regions: Sequence[Region]) -> np.ndarray:
         boxes = np.array(corners, dtype=np.int64)
     except OverflowError:  # past 64 bits, compare exact Python ints
         boxes = np.array(corners, dtype=object)
-    lo, hi = boxes[:, :2], boxes[:, 2:]
+    xlo, ylo, xhi, yhi = boxes.T
     # below[i, j]: box i ends strictly before box j starts on some axis
-    below = (hi[:, None, :] < lo[None, :, :]).any(axis=2)
+    below = xhi[:, None] < xlo
+    below |= yhi[:, None] < ylo
     return below | below.T
 
 
@@ -405,8 +482,10 @@ def scenario_from_regions(regions: Sequence[Region]) -> Network:
     """Complete basic RCC8 network of a region list.
 
     Pairs whose bounding boxes are apart (:func:`_apart`) are set to DC
-    without running the exact predicates; the others take the mask of
-    :func:`rcc8_relation`, and their converses, in one write each.
+    without running the exact predicates.  The others go to
+    :func:`_convex_masks` together, and those with a non-convex region
+    then to the general predicate one by one; their masks, and their
+    converses, go in one write each.
     """
     if len(regions) < 2:
         raise GeometryError("a scenario needs at least two regions")
@@ -416,11 +495,15 @@ def scenario_from_regions(regions: Sequence[Region]) -> Network:
     net = Network(RCC8, len(regions), ids)
     apart = _apart(regions)
     # DC is its own converse, so one symmetric write keeps the invariant
-    net.matrix[apart] = RCC8.parse("DC")
-    rows, cols = np.nonzero(np.triu(~apart, k=1))
-    masks = np.array([_relation_mask(regions[i], regions[j])
-                      for i, j in zip(rows.tolist(), cols.tolist())],
-                     dtype=np.uint16)
+    net.matrix[apart] = _BASIC_MASK["DC"]
+    rows, cols = np.nonzero(~apart)
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
+    masks = _convex_masks(regions, rows, cols)
+    convex = np.array([r.convex for r in regions])
+    for p in np.flatnonzero(~(convex[rows] & convex[cols])).tolist():
+        a, b = regions[rows[p]], regions[cols[p]]
+        masks[p] = _BASIC_MASK[_general_relation(a, b)]
     net.matrix[rows, cols] = masks
     net.matrix[cols, rows] = RCC8.conv_table[masks]
     return net

@@ -440,7 +440,11 @@ def _narrow(calc, m: list[list[int]], pins,
     """The oracle's probe: copy the list matrix ``m``, intersect each pin
     (i, j, mask) into its entry and re-close from the pinned pairs alone
     (``m`` is path-consistent apart from them).  Returns the closed copy,
-    or with ``search`` its first scenario; None when there is none."""
+    or with ``search`` its first scenario; None when there is none, and
+    before any copy when a pin misses its entry."""
+    for i, j, mask in pins:
+        if not m[i][j] & mask:
+            return None
     conv = calc._conv_list
     child = [row[:] for row in m]
     for i, j, mask in pins:

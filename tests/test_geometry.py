@@ -6,10 +6,14 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import convex_reference
 from test_network import _loop_constraint_pairs
+from util_instances import hull as _hull
+from util_instances import hull_scene
 
 from rcckit import RCC8, Network, geometry
 from rcckit.errors import GeometryError, InconsistentNetworkError
@@ -23,7 +27,7 @@ from rcckit.geometry import (
     regions_to_json,
     scenario_from_regions,
     _apart,
-    _convex_relation,
+    _convex_masks,
     _general_relation,
 )
 from rcckit.network import remove_constraint
@@ -100,6 +104,12 @@ def test_vertex_touching_cross_counts_as_po():
     assert str(rcc8_relation(a, b)) == "PO"
 
 
+def _kernel(a, b) -> str:
+    """The convex kernel's relation for one pair of convex regions."""
+    mask = _convex_masks([a, b], np.array([0]), np.array([1]))[0]
+    return RCC8.format(int(mask))
+
+
 def test_convex_predicate_matches_general_on_squares():
     rng = random.Random(2)
     for _ in range(300):
@@ -107,26 +117,9 @@ def test_convex_predicate_matches_general_on_squares():
         x2, y2 = rng.randint(0, 8), rng.randint(0, 8)
         a = square("a", x1, y1, rng.randint(1, 6))
         b = square("b", x2, y2, rng.randint(1, 6))
-        fast = rcc8_relation(a, b)
         general = _general_relation(a, b)
-        assert str(fast) == general
-
-
-def _hull(points):
-    """Counterclockwise convex hull without collinear vertices."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        return pts
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and geometry._orient(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    return chain(pts) + chain(reversed(pts))
+        assert _kernel(a, b) == general == str(rcc8_relation(a, b))
+        assert convex_reference.convex_relation(a, b) == general
 
 
 def _with_collinear(ring, picks):
@@ -201,7 +194,185 @@ def _convex_pairs(draw):
 def test_convex_predicate_matches_general_predicates(pair):
     a, b = pair
     assert a.convex and b.convex
-    assert _convex_relation(a, b) == _general_relation(a, b)
+    general = _general_relation(a, b)
+    assert _kernel(a, b) == general == convex_reference.convex_relation(a, b)
+
+
+# -- the convex kernel against the old pair predicate -------------------
+# ``convex_reference`` keeps the per-pair predicate the kernel replaced;
+# every scenario must come out byte for byte the same.
+
+
+def _same_scenario(regs):
+    got = scenario_from_regions(regs)
+    want = convex_reference.scenario(regs)
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("n", [10, 50, 200, 400])
+@pytest.mark.parametrize("profile", ["scattered", "nested", "mixed"])
+def test_kernel_matches_the_old_predicate_on_generated_scenes(profile, n):
+    for seed in (1, 2, 3):
+        _same_scenario(generate_regions(n, seed, profile))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_matches_the_old_predicate_on_hull_scenes(seed):
+    regs = hull_scene(seed)
+    assert all(r.convex and 12 <= len(r.ring) <= 30 for r in regs)
+    net = _same_scenario(regs)
+    upper = net.matrix[np.triu_indices(net.n, k=1)]
+    # rich in PO, with the touching relations too
+    assert (upper == RCC8.parse("PO")).sum() >= 20
+    assert {"EC", "TPPi"} <= {RCC8.format(int(m)) for m in upper}
+
+
+def test_kernel_matches_the_old_predicate_on_mixed_scenes():
+    rng = random.Random(5)
+    kinds = ["rect", "diamond", "octagon", "ell", "frame"]
+    for trial in range(6):
+        regs = [Region(f"m{i}", _shape(rng.choice(kinds), rng.randint(0, 12),
+                                       rng.randint(0, 12),
+                                       rng.randint(1, 3)).ring)
+                for i in range(14)]
+        regs += hull_scene(trial, cols=2, rows=1)
+        # shrunk hulls among the small shapes
+        shrunk = [_hull([(x // 8, y // 8) for x, y in r.ring])
+                  for r in hull_scene(trial + 50, cols=2, rows=2)]
+        regs += [Region(f"s{i}", ring) for i, ring in enumerate(shrunk)
+                 if len(ring) >= 3]
+        assert any(r.convex for r in regs) and not all(r.convex for r in regs)
+        _same_scenario(regs)
+
+
+def _corner_box(id_, x, y, s):
+    """The s-by-s box whose top right corner is (x, y)."""
+    return Region(id_, [(x - s, y - s), (x, y - s), (x, y), (x - s, y)])
+
+
+@pytest.mark.parametrize("top, dtype", [
+    (2 ** 30 - 1, np.int64),  # the largest |coordinate| int64 takes
+    (2 ** 30, object),
+    (2 ** 63 + 5, object),
+])
+def test_kernel_is_exact_at_the_dtype_boundary(top, dtype):
+    b = top
+    box = _corner_box("a", b, b, 4)
+    # long slanted edges: normals near 2 * top, projections near 4 * top**2
+    tri = Region("t", [(-b, -b), (b, -b + 1), (b - 1, b)])
+    cases = [
+        ("EC", box, _corner_box("b", b - 4, b, 3)),
+        ("DC", box, _corner_box("b", b - 5, b, 3)),
+        ("TPP", _corner_box("b", b, b - 1, 2), box),
+        ("NTPP", _corner_box("b", b - 1, b - 1, 2), box),
+        ("EQ", box, Region("b", box.ring[2:] + box.ring[:2])),
+        ("EQ", box, Region("b", [(b - 4, b - 4), (b - 2, b - 4)]
+                                + list(box.ring[1:]))),
+        # a shared slanted edge, then a unit off it
+        ("EC", tri, Region("u", [(-b, -b), (b - 1, b), (-b, b)])),
+        ("DC", tri, Region("u", [(-b, -b + 2), (b - 3, b), (-b, b)])),
+        ("PO", tri, Region("u", [(0, -1), (b - 1, b), (-b, b)])),
+        ("TPP", Region("u", [(-b, -b), (b - 2, -b + 1), (b - 2, b - 3)]), tri),
+        ("NTPP", Region("u", [(-b + 3, -b + 2), (b - 3, -b + 3),
+                              (b - 4, b - 6)]), tri),
+    ]
+    for name, x, y in cases:
+        # the pair's table, as the kernel joins it
+        assert np.concatenate([x._array(), y._array()]).dtype == dtype
+        for p, q, want in ((x, y, name), (y, x, RCC8.format(
+                RCC8.converse_mask(RCC8.parse(name))))):
+            assert _kernel(p, q) == want, (name, p.ring, q.ring)
+            assert _general_relation(p, q) == want
+            assert convex_reference.convex_relation(p, q) == want
+    regs = [x for _, *pair in cases for x in pair]
+    regs = [Region(f"r{i}", r.ring) for i, r in enumerate(regs)]
+    _same_scenario(regs)
+
+
+def _lattice_polygon(reach):
+    """A convex lattice polygon with one edge along each primitive vector
+    (x, y), |x|, |y| <= reach, in angle order."""
+    steps = sorted(((x, y) for x in range(-reach, reach + 1)
+                    for y in range(-reach, reach + 1) if math.gcd(x, y) == 1),
+                   key=lambda v: math.atan2(v[1], v[0]))
+    ring, x, y = [], 0, 0
+    for dx, dy in steps:
+        ring.append((x, y))
+        x, y = x + dx, y + dy
+    return ring
+
+
+@pytest.mark.parametrize("cells", [9, 64, 600])
+def test_kernel_blocks_and_splits_match_the_old_predicate(monkeypatch, cells):
+    # small budgets: many sorted blocks, and pairs split along vertices
+    # and, past ``cells`` edges, along edges too
+    mid = Region("mid", [(x + 50, y + 105) for x, y in _lattice_polygon(5)])
+    regs = hull_scene(2, cols=2, rows=2) + [mid]
+    regs += [Region(f"b{i}", r.ring) for i, r in
+             enumerate(generate_regions(20, 4, "mixed"))]
+    assert len(mid.ring) == 80 and (~_apart(regs)[-21]).sum() > 5
+    want = convex_reference.scenario(regs)
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", cells)
+    assert scenario_from_regions(regs).matrix.tobytes() \
+        == want.matrix.tobytes()
+
+
+def test_kernel_finds_a_gap_in_any_chunk_of_edges(monkeypatch):
+    # a centrally symmetric 32-gon against copies of itself shifted by
+    # each vertex-to-antipode vector (touching) and one unit further (a
+    # gap): the separating edge lies in a different chunk of 9 edges for
+    # each direction
+    base = Region("o", _lattice_polygon(3))
+    ring, half = base.ring, len(base.ring) // 2
+    shifts = []
+    for i in range(len(ring)):
+        (x0, y0), (x1, y1) = ring[i], ring[(i + half) % len(ring)]
+        dx, dy = x1 - x0, y1 - y0
+        shifts += [(dx, dy), (dx + (dx > 0) - (dx < 0),
+                              dy + (dy > 0) - (dy < 0))]
+    copies = [Region(f"c{i}", [(x + dx, y + dy) for x, y in ring])
+              for i, (dx, dy) in enumerate(shifts)]
+    want = [convex_reference.convex_relation(base, c) for c in copies]
+    assert {"EC", "DC"} <= set(want)
+    monkeypatch.setattr(geometry, "_BLOCK_CELLS", 9)
+    masks = _convex_masks([base, *copies], np.zeros(len(copies), dtype=int),
+                          np.arange(1, len(copies) + 1))
+    assert [RCC8.format(int(m)) for m in masks] == want
+
+
+def test_kernel_memory_is_bounded_by_its_blocks():
+    import tracemalloc
+
+    big = Region("big", _lattice_polygon(32))
+    assert big.convex and len(big.ring) > 2500
+    box = big.bbox
+    rng = random.Random(9)
+    regs = [big]
+    for i in range(600):
+        s = rng.randint(4, 400)
+        x = rng.randint(box.xmin - s, box.xmax)
+        y = rng.randint(box.ymin - s, box.ymax)
+        regs.append(_corner_box(f"s{i}", x + s, y + s, s))
+    net = scenario_from_regions(regs)
+    want = convex_reference.scenario(regs)
+    assert net.matrix.tobytes() == want.matrix.tobytes()
+    names = {RCC8.format(int(m)) for m in net.matrix[0, 1:]}
+    assert {"DC", "PO", "NTPPi"} <= names
+    # the kernel again on the same pairs, its tables made
+    rows, cols = np.nonzero(np.triu(~_apart(regs), k=1))
+    assert (rows == 0).sum() == 600
+    tracemalloc.start()
+    try:
+        masks = _convex_masks(regs, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (masks == net.matrix[rows, cols]).all()
+    # blocks of 2**15 cells take about 1.3 MB here; one padded batch would
+    # hold 1200 tasks x 2592**2 cells, and one int64 per vertex of the big
+    # ring per pair alone takes 12 MB
+    assert peak < 2e6
 
 
 # -- the general predicate before contact came from the probe walk -------
@@ -400,18 +571,30 @@ def test_convex_predicate_uses_integers_only(monkeypatch):
 
 
 def test_convexity_and_axes():
+    def normals(region):
+        table = region._array()
+        assert table.shape == (len(region.ring), 5)
+        # c puts every vertex of the edge on its line
+        x, y, nx, ny, c = table.T
+        assert not (nx * x + ny * y + c).any()
+        assert not (nx * np.roll(x, -1) + ny * np.roll(y, -1) + c).any()
+        return list(zip(nx.tolist(), ny.tolist()))
+
     rect = square("r", 0, 0, 4)
     diamond = Region("d", [(2, 0), (4, 2), (2, 4), (0, 2)])
     octagon = Region("o", [(1, 0), (3, 0), (4, 1), (4, 3), (3, 4), (1, 4),
                            (0, 3), (0, 1)])
-    # collinear vertices add no axis
+    # collinear vertices repeat their edge's normal
     flat = Region("f", [(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)])
-    assert sorted(rect.axes) == [(0, 1), (1, 0)]
-    assert sorted(diamond.axes) == [(1, -1), (1, 1)]
-    assert len(octagon.axes) == 4
-    assert flat.convex and sorted(flat.axes) == [(0, 1), (1, 0)]
+    # outward, one per edge, in ring order
+    assert normals(rect) == [(0, -4), (4, 0), (0, 4), (-4, 0)]
+    assert normals(diamond) == [(2, -2), (2, 2), (-2, 2), (-2, -2)]
+    assert len(set(normals(octagon))) == 8
+    assert flat.convex
+    assert normals(flat) == [(0, -2), (0, -2), (4, 0), (0, 4), (-4, 0)]
     ell = Region("l", [(0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)])
-    assert not ell.convex and ell.axes == ()
+    assert not ell.convex
+    assert rect._array() is rect._array()  # made once
 
 
 def test_star_ring_that_never_turns_right_is_rejected():
@@ -546,16 +729,17 @@ def test_pair_helpers_match_the_pair_loops(monkeypatch, profile):
     regs = generate_regions(60, 7, profile)
     want, exact = _loop_scenario(regs)
     calls = []
-    relation_mask = geometry._relation_mask
+    convex_masks = geometry._convex_masks
 
-    def recording(a, b):
-        calls.append((regs.index(a), regs.index(b)))
-        return relation_mask(a, b)
+    def recording(regions, rows, cols):
+        assert regions is regs
+        calls.extend(zip(rows.tolist(), cols.tolist()))
+        return convex_masks(regions, rows, cols)
 
-    monkeypatch.setattr(geometry, "_relation_mask", recording)
+    monkeypatch.setattr(geometry, "_convex_masks", recording)
     scenario = scenario_from_regions(regs)
     monkeypatch.undo()
-    # the same network, and the exact predicates on the same pairs in order
+    # the same network, and the convex kernel on the same pairs in order
     assert scenario == want and calls == exact
     if profile == "scattered":
         assert len(exact) < 0.5 * 60 * 59 / 2  # most pairs are apart

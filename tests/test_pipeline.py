@@ -4,9 +4,13 @@ scenario byte for byte, and the scalability harness."""
 
 import json
 
+import convex_reference
 import pytest
+from util_instances import hull_scene
 
 from rcckit.cli import main
+from rcckit.geometry import regions_to_json
+from rcckit.network import save
 
 # an L, a C-frame with the square it frames and a dot in that square, a
 # notched pentagon sharing an edge with the L, a triangle touching the L
@@ -54,6 +58,17 @@ def test_pipeline_on_non_convex_regions(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "shapes.json").write_text(json.dumps(NON_CONVEX))
     _round_trip("shapes.json")
+
+
+def test_pipeline_on_convex_hulls(tmp_path, monkeypatch):
+    # 19 convex hulls of 13 to 26 vertices, rich in PO, as GIS polygons
+    # are: the scene-level convex kernel on the command-line path
+    monkeypatch.chdir(tmp_path)
+    regions = hull_scene(11)
+    (tmp_path / "hulls.json").write_text(regions_to_json(regions))
+    _round_trip("hulls.json")
+    assert (tmp_path / "scene.net").read_text() \
+        == save(convex_reference.scenario(regions))
 
 
 def test_bench_with_multi_row_and_one_row_closure_blocks():

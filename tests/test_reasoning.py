@@ -914,6 +914,32 @@ def _ref_scenarios(calc, m):
                 yield from _ref_scenarios(calc, child)
 
 
+class _CountedRow(list):
+    """A matrix row that counts the copies taken of it."""
+
+    copies = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            _CountedRow.copies += 1
+        return super().__getitem__(key)
+
+
+def test_narrow_returns_before_copying_when_a_pin_misses():
+    net = gen.random_scenario(8, 3)
+    m = [_CountedRow(row) for row in net.matrix.tolist()]
+    calc = net.calculus
+    i, j = 2, 5
+    miss = calc.universal & ~m[i][j]
+    _CountedRow.copies = 0
+    assert _narrow(calc, m, [(i, j, m[i][j]), (j, i, miss)]) is None
+    assert _narrow(calc, m, [(i, j, miss)], search=True) is None
+    assert _CountedRow.copies == 0
+    # a pin on its entry copies every row and keeps the scenario
+    assert _narrow(calc, m, [(i, j, m[i][j])]) == net.matrix.tolist()
+    assert _CountedRow.copies == net.n
+
+
 def _with_empty_entry(net, seed):
     i, j = random.Random(seed).sample(range(net.n), 2)
     out = net.copy()

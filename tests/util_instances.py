@@ -7,13 +7,15 @@ a few random extras.  Consistency survives weakening by construction.
 """
 
 import itertools
+import math
 import random
 
 from hypothesis import strategies as st
 
 from rcckit import RCC5, RCC8
 from rcckit.algebra import Subalgebra
-from rcckit.geometry import generate_regions, scenario_from_regions
+from rcckit.geometry import (Region, _orient, generate_regions,
+                             scenario_from_regions)
 from rcckit.network import Network, to_rcc5
 from rcckit.reasoning import a_closure, all_different, detect_tractable
 from rcckit.redundancy import weaken_scenario
@@ -94,3 +96,74 @@ def intractable_network(n: int, seed: int) -> Network:
                 net.set_mask(i, j, mask)
         if detect_tractable(net) is None:
             return net
+
+
+def hull(points):
+    """Counterclockwise convex hull without collinear vertices."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _orient(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+def _round_hull(rng, cx, cy, r, k, cut=None):
+    """Hull of k jittered integer points on the circle (cx, cy, r).  With
+    ``cut`` = (X, side), only the points with side * (x - X) < 0 stay,
+    plus the two lattice points where the circle, rounded in, meets the
+    line x = X: the hull has an edge on that line."""
+    pts = []
+    for i in range(k):
+        t = 2 * math.pi * (i + 0.45 * rng.random()) / k
+        p = (cx + round(r * math.cos(t)), cy + round(r * math.sin(t)))
+        if cut is None or cut[1] * (p[0] - cut[0]) < 0:
+            pts.append(p)
+    if cut is not None:
+        dy = math.isqrt(r * r - (cut[0] - cx) ** 2)
+        pts += [(cut[0], cy - dy), (cut[0], cy + dy)]
+    return hull(pts)
+
+
+def hull_scene(seed: int, cols: int = 4, rows: int = 2) -> list[Region]:
+    """Convex regions of about 13 to 29 vertices, as in GIS data, rich in
+    PO: a jittered grid of round hulls that overlap their neighbours,
+    where cells 2c and 2c + 1 of a row are cut along a shared vertical
+    line (EC), the left one holding a hull cut along that line from
+    inside (TPP) and a small one inside (NTPP), and one more hull on each
+    inner grid corner.  The relations are whatever the rounding makes
+    them; no two rings are equal."""
+    rng = random.Random(seed)
+    rings = []
+
+    def add(cx, cy, r, cut=None):
+        ring = _round_hull(rng, cx, cy, r, 16 + len(rings) * 7 % 17, cut)
+        if len(ring) >= 3 and ring not in rings:
+            rings.append(ring)
+
+    for row in range(rows):
+        for col in range(cols):
+            cx = col * 100 + rng.randint(-8, 8)
+            cy = row * 100 + rng.randint(-8, 8)
+            line = col // 2 * 200 + 50
+            if col % 2 == 0 and col + 1 < cols:
+                add(cx, cy, rng.randint(66, 74), (line, 1))
+                rc = rng.randint(16, 22)
+                add(line - rc // 2, cy + rng.randint(-6, 6), rc, (line, 1))
+                add(cx - 20, cy + rng.randint(-8, 8), rng.randint(14, 20))
+            elif col % 2:
+                add(cx, cy, rng.randint(66, 74), (line, -1))
+            else:
+                add(cx, cy, rng.randint(66, 74))
+    for row in range(rows - 1):
+        for col in range(cols - 1):
+            add(col * 100 + 50 + rng.randint(-8, 8),
+                row * 100 + 50 + rng.randint(-8, 8), rng.randint(58, 60))
+    return [Region(f"h{i + 1}", ring) for i, ring in enumerate(rings)]
