@@ -167,9 +167,10 @@ def _pairs_1based(pairs):
 def cmd_prime(args):
     net = network.load(args.net)
     order = None
-    if args.order:
+    if args.order is not None:
         order = []
-        for chunk in args.order.split(","):
+        # an empty --order is the empty order
+        for chunk in args.order.split(",") if args.order else []:
             try:
                 a, b = (int(x) for x in chunk.split("-"))
             except ValueError:
@@ -299,8 +300,10 @@ def cmd_bench(args):
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s]
     except ValueError:
+        sizes = []
+    if not sizes:
         raise RccError(f"malformed --sizes {args.sizes!r}; expected "
-                       "comma-separated integers") from None
+                       "comma-separated integers")
     sub_name = args.subalgebra if args.subalgebra not in (None, "auto") \
         else "D8_41"
     rows = _map(_bench_one, args.workers, sizes, [args.seed] * len(sizes),

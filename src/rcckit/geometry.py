@@ -489,10 +489,12 @@ def scenario_from_regions(regions: Sequence[Region]) -> Network:
     """
     if len(regions) < 2:
         raise GeometryError("a scenario needs at least two regions")
-    ids = [r.id for r in regions]
+    ids = tuple(r.id for r in regions)
     if len(set(ids)) != len(ids):
         raise GeometryError("duplicate region ids")
-    net = Network(RCC8, len(regions), ids)
+    # every entry off the diagonal is written below
+    matrix = np.full((len(ids),) * 2, RCC8.identity, dtype=np.uint16)
+    net = Network._unchecked(RCC8, matrix, ids)
     apart = _apart(regions)
     # DC is its own converse, so one symmetric write keeps the invariant
     net.matrix[apart] = _BASIC_MASK["DC"]

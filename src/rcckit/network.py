@@ -84,6 +84,16 @@ class Network:
         self.matrix = np.full((n, n), calculus.universal, dtype=np.uint16)
         np.fill_diagonal(self.matrix, calculus.identity)
 
+    @classmethod
+    def _unchecked(cls, calculus: Calculus, matrix: np.ndarray,
+                   labels: tuple) -> "Network":
+        """A network over labels checked already, a tuple, holding
+        ``matrix`` itself: none of the constructor's checks run."""
+        out = cls.__new__(cls)
+        out.calculus, out.n, out.labels = calculus, len(labels), labels
+        out.matrix = matrix
+        return out
+
     # -- entry access ----------------------------------------------------
 
     def _check_pair(self, i: int, j: int) -> None:
@@ -136,11 +146,8 @@ class Network:
     # -- structure -------------------------------------------------------
 
     def copy(self) -> "Network":
-        # the labels were checked when they came in
-        out = Network.__new__(Network)
-        out.calculus, out.n, out.labels = self.calculus, self.n, self.labels
-        out.matrix = self.matrix.copy()
-        return out
+        return Network._unchecked(self.calculus, self.matrix.copy(),
+                                  self.labels)
 
     def constraint_pairs(self) -> Iterator[tuple[int, int]]:
         """Non-universal pairs (i, j) with i < j, row-major, listed by
@@ -388,8 +395,7 @@ def to_rcc5(net: Network) -> Network:
             if mask >> b & 1:
                 out |= to5[b]
         table[mask] = out
-    result = Network(RCC5, net.n, net.labels)
-    result.matrix = table[net.matrix]
+    result = Network._unchecked(RCC5, table[net.matrix], net.labels)
     np.fill_diagonal(result.matrix, RCC5.identity)
     return result
 
@@ -408,9 +414,8 @@ def restrict(net: Network, variables: Iterable) -> Network:
         raise NetworkShapeError("restriction needs at least one variable")
     if len(set(idx)) != len(idx):
         raise NetworkShapeError("duplicate variables in restriction")
-    out = Network(net.calculus, len(idx), [net.labels[i] for i in idx])
-    out.matrix = net.matrix[np.ix_(idx, idx)].copy()
-    return out
+    return Network._unchecked(net.calculus, net.matrix[np.ix_(idx, idx)],
+                              tuple(net.labels[i] for i in idx))
 
 
 def remove_constraint(net: Network, i: int, j: int) -> Network:

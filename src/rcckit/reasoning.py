@@ -5,12 +5,13 @@ rule R_ij <- (R_ik . R_kj) & R_ij.  One engine, ``_close``, reaches it
 for every size and for a stack of matrices (p, n, n) at once, a single
 matrix being a stack of one: sweeps over blocks of rows that apply the
 rule for all k at once, the same block of every matrix of the stack in
-one gather, repeated until a sweep changes nothing.  A matrix leaves the
-stack when a sweep changes nothing in it or when it empties an entry.
-One call holds at most max(1, _BLOCK_CELLS // n**2) matrices, and a
-block of rows gathers at most ``_BLOCK_CELLS`` terms over the whole
-stack, or one row of each matrix (``_blocks``): at n = 200 a call holds
-one matrix, and a stack gathers no more at a time than one matrix does.
+one gather, repeated until a sweep changes no matrix.  Every matrix stays
+in the stack to the end, one that empties an entry keeping its rows from
+then on, and the counts are the call's.  A block of rows gathers at most
+``_BLOCK_CELLS`` terms over the whole stack, or one row of each matrix,
+and the oracle's helper ``_closures`` hands one call at most
+max(1, _BLOCK_CELLS // n**2) matrices (``_blocks``): at n = 200 a call
+holds one matrix, and a stack gathers no more at a time than one does.
 The sweeps run over a universal diagonal, so the meet they take for
 (i, j) runs over the k other than i and j: in the sweep that changes
 nothing it is Algorithm 1's Q_ij, which
@@ -35,10 +36,11 @@ those of recomputing every block in full.
 The backtracking oracle asks one question, through one probe, ``_narrow``:
 does the network keep a solution once some entries are narrowed?  The
 network is closed from scratch once, by :func:`_close`, and handed to the
-probes as a list matrix (``_closed``).  Entailment asks it for many
+probes as a list matrix (``_closures`` for a stack of matrices,
+``_closed`` for one network).  Entailment asks it for many
 pairs of one network at a time (``_entailed``, behind :func:`entails` and
 the redundancy engines): each pair is widened to universal in one stack,
-the stack is closed in one call, and each pair's basic pins are probed
+closed by ``_closures``, and each pair's basic pins are probed
 on its own closed matrix.  Each probe copies the closed matrix,
 intersects its pins and re-closes from the pinned pairs alone with the
 oracle's pair-queue propagator ``_pca_lists``, and the search branches
@@ -185,9 +187,9 @@ def _blocks(cells: int, total: int) -> list[slice]:
     """Consecutive slices of range(total), each of max(1, _BLOCK_CELLS //
     cells) items of ``cells`` entries: the blocks of rows of a stack of
     p n-variable matrices, in order, each row gathering p * n * n terms;
-    and the stacks of n-variable matrices one :func:`_close` call holds,
-    each matrix holding n * n entries.  Either way a block holds at most
-    ``_BLOCK_CELLS`` of them, or one item."""
+    and the stacks of n-variable matrices :func:`_closures` hands one
+    :func:`_close` call, each matrix holding n * n entries.  Either way a
+    block holds at most ``_BLOCK_CELLS`` of them, or one item."""
     height = max(1, _BLOCK_CELLS // cells)
     return [slice(lo, lo + height) for lo in range(0, total, height)]
 
@@ -202,26 +204,31 @@ def _gathers(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         yield block, _terms(calc, m[block], m)
 
 
-def _close(calc, m: np.ndarray) -> list[tuple]:
+def _close(calc, m: np.ndarray) -> tuple:
     """Enforce path consistency on a stack of uint16 mask matrices
-    (p, n, n) in place; a single matrix is a stack of one.
+    (p, n, n) in place, each converse-symmetric with an EQ diagonal as a
+    network's is; a single matrix is a stack of one.
 
     Sweeps the rows in blocks, the same block of every matrix at once,
     each gathering at most ``_BLOCK_CELLS`` terms over the whole stack or
     one row of each matrix (:func:`_blocks`).  Each block is narrowed to
     its meets AND_k comp[m[i, k], m[k, :]] and its converse mirrored into
-    the matching columns, until a sweep changes nothing.  Entries only
-    shrink, so the sweeps terminate.  A matrix leaves the stack when a
-    sweep changes nothing in it or when it empties an entry.  Returns,
-    per matrix, (witness, updates, sweeps, q, terms): the first three and
-    ``terms`` as in :class:`AClosureResult`, witness None on success.
+    the matching columns, until a sweep changes no matrix.  Entries only
+    shrink, so the sweeps terminate.  Every matrix stays in the stack to
+    the end: one that empties an entry records its witness and keeps its
+    rows from then on, and an input with an empty entry is reported as
+    (i, i, j), takes no part in the sweeps and comes back unchanged.  The
+    sweeps stop early once every matrix has a witness.  Returns
+    (witnesses, q, updates, sweeps, terms): one witness per matrix, None
+    on success; the Q stack, valid where the witness is None; and the
+    call's counts, as in :class:`AClosureResult` for a stack of one.
 
     The sweeps run over a universal diagonal, restored to EQ on return:
     * . r = r . * = * for every nonempty r, so the k = i and k = j terms,
     which never narrow an entry, drop out, and the meets of row i are
     Q_ij, the meet over every other k.  q holds each block's meets as of
-    its last computation; on success it is Q of the closed matrix, from
-    the sweep that changed nothing (its diagonal aside), else None.
+    its last computation: Q of the closed matrix, from the sweep that
+    changed nothing (its diagonal aside).
 
     Only a block's first computation gathers every k.  The term for k
     reads R_ik and row k; a change at (i, k) changes row k too, through
@@ -239,113 +246,75 @@ def _close(calc, m: np.ndarray) -> list[tuple]:
     terms, witness and Q, of recomputing every block in full.  The closure
     is the one fixed point of the rule whatever the schedule, so each
     matrix of a larger stack reaches the closed matrix, the verdict and
-    the Q it reaches alone; its counts and its witness follow the stack's
-    blocks.
+    the Q it reaches alone.
     """
     p, n = m.shape[:2]
-    out = [None] * p
-    ids = np.arange(p)
-    # the live matrices: m itself until one leaves, then a compact copy
-    live = m
+    witnesses = [None] * p
+    # the matrices whose rows stay as they are: those with a witness
+    emptied = []
     if not m.all():
-        full = m.all(axis=(1, 2))
-        for t in (~full).nonzero()[0].tolist():
+        for t in (~m.all(axis=(1, 2))).nonzero()[0].tolist():
             i, j = np.argwhere(m[t] == 0)[0].tolist()
-            out[t] = (i, i, j), 0, 0, None, 0
-        ids = ids[full]
-        if not ids.size:
-            return out
-        live = m[ids]
-    touched = ids[:, None]
+            witnesses[t] = i, i, j
+            emptied.append(t)
     conv = calc.conv_table
     star = calc.universal
     diagonal = np.arange(n)
-    live[:, diagonal, diagonal] = star
+    m[:, diagonal, diagonal] = star
     # diagonal cells lie n + 1 apart in a block of rows flattened
     step = n + 1
-    blocks = _blocks(ids.size * n * n, n)
+    blocks = _blocks(p * n * n, n)
     # the clock ticks once per block computed: when each block was last
     # computed and each row last changed in a matrix of the stack, -1
     # before the first computation so that it gathers every row
     computed = [-1] * len(blocks)
     changed_at = np.full(n, -1)
     clock = 0
-    q = np.empty_like(live)
-    updates = [0] * ids.size
-    sweeps = terms = 0
-    while ids.size:
+    q = np.empty_like(m)
+    updates = sweeps = terms = 0
+    changed = True
+    while changed and len(emptied) < p:
+        changed = False
         sweeps += 1
-        # per block written in this sweep, the matrix of each cell it moved
-        moves = []
-        # the matrices that emptied an entry in this sweep: they keep their
-        # rows as they were and leave at its end
-        emptied = []
         for b, block in enumerate(blocks):
             ks = (changed_at >= computed[b]).nonzero()[0]
             if not ks.size:
                 continue
             computed[b] = clock
             clock += 1
-            rows = live[:, block]
+            rows = m[:, block]
             terms += rows.shape[1] * ks.size * n
             if ks.size == n:
                 # the full meet: a slice reads faster than an index array
-                new = np.bitwise_and.reduce(_terms(calc, rows, live),
-                                            axis=-2)
+                new = np.bitwise_and.reduce(_terms(calc, rows, m), axis=-2)
             else:
                 new = q[:, block] & np.bitwise_and.reduce(
-                    _terms(calc, rows, live, ks), axis=-2)
+                    _terms(calc, rows, m, ks), axis=-2)
             q[:, block] = new
             new &= rows
-            new.reshape(ids.size, -1)[:, block.start::step] = star
+            new.reshape(p, -1)[:, block.start::step] = star
+            if not new.all():
+                for t in (~new.all(axis=(1, 2))).nonzero()[0].tolist():
+                    if witnesses[t] is None:
+                        r, j = np.argwhere(new[t] == 0)[0].tolist()
+                        witnesses[t] = _witness(calc, m[t], block.start + r, j)
+                        emptied.append(t)
+                if len(emptied) == p:
+                    break
             if emptied:
                 new[emptied] = rows[emptied]
             moved_t, moved_i, moved_k = (new != rows).nonzero()
             if not moved_t.size:
                 continue
-            if not new.all():
-                for t in (~new.all(axis=(1, 2))).nonzero()[0].tolist():
-                    r, j = np.argwhere(new[t] == 0)[0].tolist()
-                    done = updates[t] + sum(int(np.count_nonzero(cells == t))
-                                            for cells in moves)
-                    out[ids[t]] = (_witness(calc, live[t], block.start + r, j),
-                                   done, sweeps, None, terms)
-                    emptied.append(t)
-                if len(emptied) == ids.size:
-                    break
-                new[emptied] = rows[emptied]
-                moved_t, moved_i, moved_k = (new != rows).nonzero()
-            moves.append(moved_t)
+            updates += moved_t.size
+            changed = True
             rows[:] = new
-            live[:, :, block] = conv[new].transpose(0, 2, 1)
+            m[:, :, block] = conv[new].transpose(0, 2, 1)
             # a change at (i, k) changes row k too, through the mirror
             changed_at[block][moved_i] = computed[b]
             changed_at[moved_k] = computed[b]
-        moved = [0] * ids.size
-        if moves:
-            moved = np.bincount(np.concatenate(moves),
-                                minlength=ids.size).tolist()
-        # a matrix that changed nothing in the sweep is closed
-        stay, left = [], []
-        for t, count in enumerate(moved):
-            updates[t] += count
-            if t in emptied:
-                left.append(t)
-            elif count:
-                stay.append(t)
-            else:
-                left.append(t)
-                out[ids[t]] = None, updates[t], sweeps, q[t], terms
-        if not left:
-            continue
-        if live is not m:
-            m[ids[left]] = live[left]
-        if not stay:
-            break
-        live, q, ids = live[stay], q[stay], ids[stay]
-        updates = [updates[t] for t in stay]
-    m[touched, diagonal, diagonal] = calc.identity
-    return out
+    m[:, diagonal, diagonal] = calc.identity
+    return witnesses, q, updates, sweeps, terms
 
 
 def _witness(calc, m: np.ndarray, i: int, j: int) -> tuple[int, int, int]:
@@ -369,11 +338,10 @@ def a_closure(net: Network) -> AClosureResult:
     is independent of the processing order.
     """
     m = net.matrix.copy()
-    (witness, updates, sweeps, _, terms), = _close(net.calculus, m[None])
+    (witness,), _, updates, sweeps, terms = _close(net.calculus, m[None])
     if witness is not None:
         return AClosureResult(False, None, witness, updates, sweeps, terms)
-    out = Network(net.calculus, net.n, net.labels)
-    out.matrix = m
+    out = Network._unchecked(net.calculus, m, net.labels)
     return AClosureResult(True, out, None, updates, sweeps, terms)
 
 
@@ -457,13 +425,27 @@ def _narrow(calc, m: list[list[int]], pins,
     return next(_scenarios(calc, child), None) if search else child
 
 
+def _closures(calc, n: int, count: int,
+              stack) -> Iterator[Optional[list[list[int]]]]:
+    """Lazily, for each of ``count`` n-variable matrices: the matrix
+    closed from scratch by :func:`_close`, as a list matrix for the
+    oracle's probes, or None when it is inconsistent.  ``stack(batch)``
+    makes the matrices of a slice of range(count) as a fresh stack
+    (p, n, n), one per stack of :func:`_blocks`, each closed in one
+    call."""
+    for batch in _blocks(n * n, count):
+        m = stack(batch)
+        witnesses = _close(calc, m)[0]
+        # one at a time: the stack as lists would hold every matrix at once
+        for witness, closed in zip(witnesses, m):
+            yield closed.tolist() if witness is None else None
+
+
 def _closed(net: Network) -> Optional[list[list[int]]]:
-    """The network closed from scratch by :func:`_close`, as a list
-    matrix for the oracle's probes, or None when it is inconsistent."""
-    m = net.matrix.copy()
-    if _close(net.calculus, m[None])[0][0] is not None:
-        return None
-    return m.tolist()
+    """The network closed as :func:`_closures` gives it: a list matrix,
+    or None when it is inconsistent."""
+    return next(_closures(net.calculus, net.n, 1,
+                          lambda _: net.matrix[None].copy()))
 
 
 def _basic_pins(masks: np.ndarray) -> list[tuple[int, int, int]]:
@@ -548,9 +530,8 @@ def enumerate_scenarios(net: Network,
     """All consistent scenarios of the network, deterministically ordered."""
     _check_guard(net.n, guard)
     for sol in _scenarios(net.calculus, _closed(net)):
-        out = Network(net.calculus, net.n, net.labels)
-        out.matrix = np.array(sol, dtype=np.uint16)
-        yield out
+        yield Network._unchecked(net.calculus,
+                                 np.array(sol, dtype=np.uint16), net.labels)
 
 
 def _entailed(net: Network, queries,
@@ -559,7 +540,7 @@ def _entailed(net: Network, queries,
     widened to universal no solution that places (v_i, v_j) in a basic
     of ``outside``?  None where that needs a search and n > guard.
 
-    One :func:`_close` call per stack of :func:`_blocks` closes the
+    The stacks of :func:`_closures` close the
     widened networks, and each runs its pins (i, j, basic) through
     :func:`_solvable`, searching only where the closure does not decide
     it.  One bincount of the network's masks tells where: a widened
@@ -574,7 +555,7 @@ def _entailed(net: Network, queries,
     masks = set(np.flatnonzero(counts).tolist())
     misfits = [masks - sub.members for sub in _tractable(calc)]
     out = [True] * len(queries)
-    todo = []
+    todo, wide = [], []
     for t, (i, j, outside) in enumerate(queries):
         if not outside:
             continue
@@ -586,17 +567,20 @@ def _entailed(net: Network, queries,
             continue
         pins = [(i, j, 1 << bit) for bit in range(calc.size)
                 if outside >> bit & 1]
-        todo.append((t, i, j, pins, search))
-    for batch in _blocks(net.n ** 2, len(todo)):
-        part = todo[batch]
-        stack = np.repeat(m[None], len(part), axis=0)
-        at = np.arange(len(part))
-        wide_i, wide_j = np.array([(i, j) for _, i, j, _, _ in part]).T
-        stack[at, wide_i, wide_j] = stack[at, wide_j, wide_i] = calc.universal
-        for (t, _, _, pins, search), (witness, *_), closed in zip(
-                part, _close(calc, stack), stack):
-            base = None if witness is not None else closed.tolist()
-            out[t] = not any(_solvable(net, base, pins, guard, search))
+        todo.append((t, pins, search))
+        wide.append((i, j))
+    wide = np.array(wide)
+
+    def widened(batch):
+        i, j = wide[batch].T
+        stack = np.repeat(m[None], len(i), axis=0)
+        at = np.arange(len(i))
+        stack[at, i, j] = stack[at, j, i] = calc.universal
+        return stack
+
+    for (t, pins, search), base in zip(
+            todo, _closures(calc, net.n, len(todo), widened)):
+        out[t] = not any(_solvable(net, base, pins, guard, search))
     return out
 
 
@@ -658,31 +642,33 @@ def check_minimal(net: Network, guard: int = DEFAULT_GUARD) -> bool:
 def check_weak_global(net: Network, guard: int = DEFAULT_GUARD) -> bool:
     """Oracle check of weak global consistency.
 
-    Every consistent scenario of every restriction (sizes 2..n-1, in
-    increasing order, short-circuiting on the first failure) must extend
-    to a consistent scenario of the whole network.  Restrictions to one
-    variable and to all variables extend trivially and are skipped.  The
-    restrictions of one size close together, one :func:`_close` call per
-    stack of :func:`_blocks`.
+    An inconsistent network is not: a restriction to one variable has a
+    solution that extends to none.  Otherwise every consistent scenario
+    of every restriction (sizes 2..n-1, in increasing order,
+    short-circuiting on the first failure) must extend to a consistent
+    scenario of the whole network.  Restrictions to one variable and to
+    all variables then extend trivially and are skipped.  The
+    restrictions of one size close together (:func:`_closures`).
     """
     from itertools import combinations
 
     _check_guard(net.n, guard)
     calc = net.calculus
     base = _closed(net)
+    if base is None:
+        return False
     for size in range(2, net.n):
         subsets = list(combinations(range(net.n), size))
-        for batch in _blocks(size ** 2, len(subsets)):
-            part = np.array(subsets[batch])
-            stack = net.matrix[part[:, :, None], part[:, None, :]]
-            for subset, (witness, *_), closed in zip(
-                    subsets[batch], _close(calc, stack), stack):
-                if witness is not None:
-                    continue
-                for scenario in _scenarios(calc, closed.tolist()):
-                    pins = [(i, j, scenario[a][b]) for (a, i), (b, j)
-                            in combinations(enumerate(subset), 2)]
-                    if base is None or _narrow(calc, base, pins,
-                                               search=True) is None:
-                        return False
+        picks = np.array(subsets)
+
+        def restricted(batch):
+            return net.matrix[picks[batch, :, None], picks[batch, None, :]]
+
+        for subset, closed in zip(subsets, _closures(calc, size, len(subsets),
+                                                     restricted)):
+            for scenario in _scenarios(calc, closed):
+                pins = [(i, j, scenario[a][b]) for (a, i), (b, j)
+                        in combinations(enumerate(subset), 2)]
+                if _narrow(calc, base, pins, search=True) is None:
+                    return False
     return True

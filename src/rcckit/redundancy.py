@@ -28,7 +28,7 @@ algorithm.
 
 :func:`core` and the fold decide redundancy per constraint through
 ``reasoning._entailed``, which closes every widened network of one call
-as one stack (``reasoning._close``).  :func:`core` makes one such call
+in stacks (``reasoning._closures``).  :func:`core` makes one such call
 over all its constraints.  The fold first makes the same call on its
 input and keeps every constraint found non-redundant there: the fold
 only widens, and if N - c has a solution outside c, so does every
@@ -229,7 +229,7 @@ def core_algorithm1(net: Network,
     calc = net.calculus
     n = net.n
     closed = net.matrix.copy()
-    (witness, _, _, q, _), = _close(calc, closed[None])
+    (witness,), (q,), *_ = _close(calc, closed[None])
     if witness is not None:
         raise InconsistentNetworkError(_NEEDS_CONSISTENT)
     equal = _upper_pairs(closed == calc.identity)

@@ -106,9 +106,12 @@ def test_redundant_exit_codes(capsys, example1_path):
     (("entails", "0", "3", "PP"), "variable number 0 out of range 1..5"),
     (("entails", "1", "9", "DR"), "variable number 9 out of range 1..5"),
     (("prime", "--order", "1-2,x"), "malformed --order pair 'x'"),
+    # an empty --order is the empty order, not a missing one
+    (("prime", "--order", ""),
+     "order must enumerate every non-trivial constraint exactly once"),
     (("entails", "1", "2", "FOO"), "unknown RCC5 basic relation 'FOO'"),
 ], ids=["redundant-zero", "entails-zero", "entails-past-n", "order-chunk",
-        "relation-name"])
+        "order-empty", "relation-name"])
 def test_bad_variable_numbers_exit_2(capsys, example1_path, argv, message):
     command, *rest = argv
     code, out, err = run(capsys, command, example1_path, *rest)
@@ -208,6 +211,16 @@ def test_prime_with_explicit_order(capsys, example1_path, tmp_path):
     doc = json.loads(out)
     assert doc["method"] == "iterative"
     assert doc["removed"] == [[1, 2]]
+
+
+def test_prime_with_an_empty_order_folds_a_network_without_constraints(
+        capsys, tmp_path):
+    path = tmp_path / "none.net"
+    path.write_text("calculus RCC8\nvars 2\n")
+    code, out, _ = run(capsys, "prime", str(path), "--order", "", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == "iterative" and doc["kept"] == []
 
 
 @pytest.mark.parametrize("command", ["prime", "compare"])
@@ -412,7 +425,7 @@ def test_bench_small(capsys, tmp_path):
     assert out_path.read_text().splitlines()[0] == ",".join(COLUMNS)
 
 
-@pytest.mark.parametrize("sizes", ["a", "8,x", "1.5"])
+@pytest.mark.parametrize("sizes", ["a", "8,x", "1.5", ",", ""])
 def test_bench_malformed_sizes_exit_2(capsys, sizes):
     code, out, err = run(capsys, "bench", "--sizes", sizes)
     assert code == 2 and not out
@@ -465,10 +478,11 @@ def test_bench_fits_only_over_distinct_sizes(capsys):
 
 
 def test_bench_empty_sizes(capsys, tmp_path):
+    # no size is a bad argument, not an empty table
     out_path = tmp_path / "empty.csv"
     code, _, _ = run(capsys, "bench", "--sizes", "", "--out", str(out_path))
-    assert code == 0
-    assert out_path.read_text().startswith("n,constraint_total")
+    assert code == 2
+    assert not out_path.exists()
 
 
 def test_json_reports_are_stable(capsys, example1_path):

@@ -154,14 +154,15 @@ def test_close_matches_the_queue_reference():
             ref_witness = _pca_lists(net.calculus, ref,
                                      list(net.constraint_pairs()))
             m = net.matrix.copy()
-            witness, updates, sweeps, _, _ = _close(net.calculus, m[None])[0]
+            (witness,), _, updates, sweeps, _ = _close(net.calculus, m[None])
             assert (witness is None) == (ref_witness is None), n
             verdicts.add(witness is None)
             if witness is None:
                 assert np.array_equal(m, np.array(ref, dtype=np.uint16)), n
                 assert (updates > 0) == (not np.array_equal(m, net.matrix))
                 assert (sweeps > 1) == (updates > 0)
-                assert _close(net.calculus, m[None])[0][:3] == (None, 0, 1)
+                (again,), _, *counts, _ = _close(net.calculus, m[None])
+                assert (again, *counts) == (None, 0, 1)
             else:
                 assert len(set(witness)) == 3, (n, witness)
     assert verdicts == {True, False}
@@ -209,8 +210,8 @@ def test_close_matches_the_eq_diagonal_sweep(monkeypatch, cells):
             expected = _eq_diagonal_close(calc, ref)
             # _close sweeps over a universal diagonal
             m = net.matrix.copy()
-            *got, q, _ = _close(calc, m[None])[0]
-            assert tuple(got) == expected, n
+            (witness,), (q,), *counts, _ = _close(calc, m[None])
+            assert (witness, *counts) == expected, n
             assert np.array_equal(m, ref), n
             assert (np.diagonal(m) == calc.identity).all(), n
             witness, _, sweeps = expected
@@ -222,8 +223,6 @@ def test_close_matches_the_eq_diagonal_sweep(monkeypatch, cells):
                     [b for _, b in closure_reference.meets(calc, wide)])
                 off = ~np.eye(n, dtype=bool)
                 assert np.array_equal(q[off], want[off]), n
-            else:
-                assert q is None, n
             paths.add("closed" if witness is None
                       else "empty" if sweeps == 0 else "witness")
     assert paths == {"closed", "witness", "empty"}
@@ -238,16 +237,14 @@ def _assert_close_matches_the_reference(net):
     want_m = net.matrix.copy()
     *want, want_q, want_terms = closure_reference.close(calc, want_m)
     m = net.matrix.copy()
-    *got, q, terms = _close(calc, m[None])[0]
-    assert got == want, net.n
+    (witness,), (q,), *counts, terms = _close(calc, m[None])
+    assert [witness, *counts] == want, net.n
     assert np.array_equal(m, want_m), net.n
     assert terms <= want_terms, net.n
     witness, _, sweeps = want
     if witness is None:
         off = ~np.eye(net.n, dtype=bool)
         assert np.array_equal(q[off], want_q[off]), net.n
-    else:
-        assert q is None, net.n
     path = ("closed" if witness is None
             else "empty" if sweeps == 0 else "witness")
     return path, terms, want_terms
@@ -363,12 +360,11 @@ def test_a_stack_closes_as_each_matrix_alone(monkeypatch, cells):
         random.Random(n).shuffle(nets)
         calc = nets[0].calculus
         stack = np.array([net.matrix for net in nets])
-        results = _close(calc, stack)
-        assert len(results) == len(nets)
-        for net, closed, (witness, _, sweeps, q, _) in zip(nets, stack,
-                                                          results):
+        witnesses, qs, *_ = _close(calc, stack)
+        assert len(witnesses) == len(qs) == len(nets)
+        for net, closed, witness, q in zip(nets, stack, witnesses, qs):
             alone = net.matrix.copy()
-            want, _, _, want_q, _ = _close(calc, alone[None])[0]
+            (want,), (want_q,), *_ = _close(calc, alone[None])
             ref = net.matrix.copy()
             ref_witness, _, _, ref_q, _ = closure_reference.close(calc, ref)
             assert (witness is None) == (want is None) \
@@ -381,14 +377,14 @@ def test_a_stack_closes_as_each_matrix_alone(monkeypatch, cells):
                 assert np.array_equal(q[off], want_q[off]), n
                 assert np.array_equal(q[off], ref_q[off]), n
                 paths.add("closed")
-            elif sweeps == 0:
+            elif witness[0] == witness[1]:
                 # an empty input entry is its own witness, at any size
                 assert witness == want == ref_witness, n
                 assert np.array_equal(closed, net.matrix), n
                 paths.add("empty")
             else:
                 i, k, j = witness
-                assert len({i, k, j}) == 3 and q is None, n
+                assert len({i, k, j}) == 3, n
                 assert (np.diagonal(closed) == calc.identity).all(), n
                 paths.add("witness")
     assert paths == {"closed", "witness", "empty"}
@@ -646,6 +642,19 @@ def test_check_weak_global_small_cases():
         assert check_weak_global(net)
 
 
+def test_check_weak_global_is_false_on_inconsistent_networks(bad_triangle):
+    # below three variables no restriction is checked, and an empty entry
+    # leaves every restriction of three variables inconsistent
+    pair = Network(RCC5, 2)
+    pair.set_mask(0, 1, 0)
+    hollow = Network(RCC5, 3)
+    for i, j in itertools.combinations(range(3), 2):
+        hollow.set_mask(i, j, 0)
+    for net in (pair, hollow, bad_triangle):
+        assert not check_weak_global(net)
+        assert not _ref_check_weak_global(net, 12)
+
+
 def test_path_consistent_h5_network_not_weakly_global():
     """A path-consistent H5 network that is neither minimal nor weakly
     globally consistent (found by random search over H5 entries; no such
@@ -772,6 +781,8 @@ def _ref_check_minimal(net, guard):
 def _ref_check_weak_global(net, guard):
     if net.n > guard:
         raise GuardExceededError("above the guard")
+    if solve(net, guard=guard) is None:
+        return False
     for size in range(2, net.n):
         for subset in itertools.combinations(range(net.n), size):
             for scenario in enumerate_scenarios(restrict(net, subset),
