@@ -45,12 +45,22 @@ on its own closed matrix.  Each probe copies the closed matrix,
 intersects its pins and re-closes from the pinned pairs alone with the
 oracle's pair-queue propagator ``_pca_lists``, and the search branches
 through the same probe, carrying down the pairs still non-basic so that
-no node rescans the whole matrix.  The a-closure so serves both sides of
-the acceptance checks; what keeps the oracle independent of it is the
+no node rescans the whole matrix.  Each question works out from the
+network whose closure it probes whether a probe must search: where that
+network fits a built-in tractable subalgebra so does every pinned copy
+(every basic lies in each), the probe's closure decides, and no search
+runs (``_entailed`` per widened network, :func:`check_minimal` and the
+oracle branch of ``redundancy.equivalent`` per network).  Only
+:func:`solve`, :func:`enumerate_scenarios` and :func:`check_weak_global`,
+which list scenarios, always search.  The a-closure so serves both sides
+of the acceptance checks; what keeps the oracle independent of it is the
 pin-and-search propagator ``_pca_lists`` and the test-local references
 (``tests/closure_reference.py``, the all-pairs ``_ref_closed`` of the
 reasoning tests, and the benchmark's own reference module).  Searches
-are guarded by a size limit, because scenario enumeration is exponential.
+alone are guarded by a size limit, because scenario enumeration is
+exponential: a question that would search above it raises
+:class:`GuardExceededError`, and one the closures decide answers at any
+size.
 """
 
 from __future__ import annotations
@@ -403,13 +413,13 @@ def _check_guard(n: int, guard: int) -> None:
             "a tractable subclass")
 
 
-def _narrow(calc, m: list[list[int]], pins,
-            search: bool = False) -> Optional[list[list[int]]]:
+def _narrow(calc, m: list[list[int]], pins) -> Optional[list[list[int]]]:
     """The oracle's probe: copy the list matrix ``m``, intersect each pin
     (i, j, mask) into its entry and re-close from the pinned pairs alone
-    (``m`` is path-consistent apart from them).  Returns the closed copy,
-    or with ``search`` its first scenario; None when there is none, and
-    before any copy when a pin misses its entry."""
+    (``m`` is path-consistent apart from them).  Returns the closed copy;
+    None when the closure empties an entry, and before any copy when a pin
+    misses its entry.  It only narrows: a search asks :func:`_scenarios`
+    for a scenario of the result."""
     for i, j, mask in pins:
         if not m[i][j] & mask:
             return None
@@ -422,7 +432,7 @@ def _narrow(calc, m: list[list[int]], pins,
             return None
     if _pca_lists(calc, child, [(i, j) for i, j, _ in pins]) is not None:
         return None
-    return next(_scenarios(calc, child), None) if search else child
+    return child
 
 
 def _closures(calc, n: int, count: int,
@@ -457,15 +467,21 @@ def _basic_pins(masks: np.ndarray) -> list[tuple[int, int, int]]:
 
 
 def _solvable(net: Network, base: Optional[list[list[int]]], pins,
-              guard: int, search: bool = True) -> Iterator[bool]:
+              guard: int, search: bool) -> Iterator[bool]:
     """Lazily, per pin: has the network a solution inside it?  ``base`` is
-    the network closed by :func:`_closed`.  Without ``search`` a probe's
-    closure decides, as over a tractable subclass."""
+    the closure of the network probed, by :func:`_closed` or
+    :func:`_closures`, and ``search`` whether that network fits no
+    built-in tractable subalgebra.  Where it fits one, so does each pinned
+    network (every basic lies in every built-in subalgebra), and the
+    probe's closure decides; elsewhere the probe's result is searched, and
+    only then is the guard checked, once, against ``net``."""
     if pins and search:
         _check_guard(net.n, guard)
     for pin in pins:
-        yield (base is not None
-               and _narrow(net.calculus, base, [pin], search) is not None)
+        child = None if base is None else _narrow(net.calculus, base, [pin])
+        if search:
+            child = next(_scenarios(net.calculus, child), None)
+        yield child is not None
 
 
 def _branch_entry(m: list[list[int]], pairs: list[tuple[int, int]]
@@ -632,11 +648,17 @@ def all_different(net: Network, subclass: Subalgebra = None) -> AllDifferentResu
 
 
 def check_minimal(net: Network, guard: int = DEFAULT_GUARD) -> bool:
-    """Oracle check that every basic in every entry is feasible."""
+    """Oracle check that every basic in every entry is feasible.
+
+    Each basic is pinned into the closed network (:func:`_solvable`).
+    Where the network fits a built-in tractable subalgebra the pinned
+    closure decides, at any size; elsewhere each pin is searched, subject
+    to the guard."""
     base = _closed(net)
     if base is None:
         raise InconsistentNetworkError("minimality is about consistent networks")
-    return all(_solvable(net, base, _basic_pins(net.matrix), guard))
+    search = not _closure_decides(net)
+    return all(_solvable(net, base, _basic_pins(net.matrix), guard, search))
 
 
 def check_weak_global(net: Network, guard: int = DEFAULT_GUARD) -> bool:
@@ -669,6 +691,7 @@ def check_weak_global(net: Network, guard: int = DEFAULT_GUARD) -> bool:
             for scenario in _scenarios(calc, closed):
                 pins = [(i, j, scenario[a][b]) for (a, i), (b, j)
                         in combinations(enumerate(subset), 2)]
-                if _narrow(calc, base, pins, search=True) is None:
+                if next(_scenarios(calc, _narrow(calc, base, pins)),
+                        None) is None:
                     return False
     return True

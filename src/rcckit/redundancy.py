@@ -61,6 +61,7 @@ from .reasoning import (
     _check_guard,
     _close,
     _closed,
+    _closure_decides,
     _entailed,
     _fit,
     _solvable,
@@ -265,9 +266,12 @@ def equivalent(a: Network, b: Network, guard: int = DEFAULT_GUARD) -> bool:
 
     When each network is over a distributive subalgebra, its a-closure is
     its minimal network, so equivalence is a-closure equality.  Otherwise
-    no solution of either may use a basic that the other excludes.  The
-    backtracking oracle is asked about each such basic in turn, subject to
-    the guard, so identical networks need no search at all.
+    no solution of either may use a basic that the other excludes.  Each
+    such basic is pinned into its network's closure (as
+    :func:`reasoning.check_minimal` pins), which decides it where that
+    network fits a built-in tractable subalgebra; elsewhere the
+    backtracking oracle searches, subject to the guard.  Identical
+    networks so need no probe at all.
     """
     if a.calculus is not b.calculus or a.n != b.n:
         raise NetworkShapeError("networks differ in calculus or size")
@@ -278,7 +282,8 @@ def equivalent(a: Network, b: Network, guard: int = DEFAULT_GUARD) -> bool:
         return bool(np.array_equal(ra.network.matrix, rb.network.matrix))
     meet = a.matrix & b.matrix
     return not any(any(_solvable(net, _closed(net),
-                                 _basic_pins(net.matrix & ~meet), guard))
+                                 _basic_pins(net.matrix & ~meet), guard,
+                                 not _closure_decides(net)))
                    for net in (a, b))
 
 

@@ -1,34 +1,27 @@
 """The redundancy engines as they stood before batched entailment, kept as
 the reference the tests compare ``redundancy.core`` and
 ``redundancy.prime_iterative`` with: per constraint, a copy with the
-constraint removed, one subalgebra fit of it, one from-scratch closure
-(``reasoning._closed``) and its pins, one constraint at a time."""
+constraint removed, and one pinned copy of it per basic outside the
+constraint, each decided from scratch by ``reasoning.is_consistent``
+(which searches only off the tractable subalgebras), one constraint at a
+time."""
 
 from rcckit.network import remove_constraint
-from rcckit.reasoning import (
-    DEFAULT_GUARD,
-    _closed,
-    _closure_decides,
-    _solvable,
-)
+from rcckit.reasoning import DEFAULT_GUARD, is_consistent
 from rcckit.redundancy import _report
 
 
 def entails(net, i, j, r, guard=DEFAULT_GUARD):
-    """Pin each basic of the (i, j) entry outside r into the closed
-    network; search only where the closure does not decide the network
-    with (i, j) widened to universal."""
-    calc = net.calculus
+    """Pin each basic of the (i, j) entry outside r into a copy of the
+    network; r is entailed when no pinned copy is consistent."""
     outside = net.mask(i, j) & ~r.mask
-    pins = [(i, j, 1 << b) for b in range(calc.size) if outside >> b & 1]
-    if not pins:
-        return True
-    wide = net
-    if net.mask(i, j) != calc.universal:
-        wide = net.copy()
-        wide.set_mask(i, j, calc.universal)
-    return not any(_solvable(net, _closed(net), pins, guard,
-                             not _closure_decides(wide)))
+    for b in range(net.calculus.size):
+        if outside >> b & 1:
+            probe = net.copy()
+            probe.set_mask(i, j, 1 << b)
+            if is_consistent(probe, guard=guard):
+                return False
+    return True
 
 
 def is_redundant(net, i, j, guard=DEFAULT_GUARD):

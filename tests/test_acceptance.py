@@ -52,6 +52,7 @@ from rcckit.reasoning import (
     all_different,
     check_minimal,
     check_weak_global,
+    solve,
 )
 from rcckit.redundancy import (
     core,
@@ -68,6 +69,24 @@ DISTRIBUTIVE = (d5_14(), d5_20(), d8_41(), d8_64())
 
 def _done(num, text):
     print(f"ACCEPTANCE {num}: PASS - {text}")
+
+
+def _search_equivalent(a, b):
+    """The scenario-set oracle by search alone: no basic that one network
+    allows and the other excludes has a solution, each pinned copy being
+    given to solve.  ``equivalent`` takes a-closure equality on
+    distributive networks, so this is the search side beside it."""
+    meet = a.matrix & b.matrix
+    for net in (a, b):
+        extra = net.matrix & ~meet
+        for i, j in itertools.combinations(range(net.n), 2):
+            for bit in range(net.calculus.size):
+                if int(extra[i, j]) >> bit & 1:
+                    probe = net.copy()
+                    probe.set_mask(i, j, 1 << bit)
+                    if solve(probe) is not None:
+                        return False
+    return True
 
 
 def test_criterion_1_table_fidelity():
@@ -147,8 +166,10 @@ def test_criterion_3_worked_examples(example1, example2):
 def test_criterion_4_uniqueness_oracle_equivalence(sub):
     """>= 500 instances per subalgebra, n in 4..8: Algorithm 1 ==
     per-constraint sweep, the fold is order-independent and identical,
-    and the prime network is equivalent to the input (scenario-set oracle
-    for n <= 6, a-closure comparison above).  Exact equality throughout."""
+    and the prime network is equivalent to the input (for n <= 6 by
+    ``equivalent``, which compares a-closures on these distributive
+    networks, and by the search of ``_search_equivalent``; by a-closure
+    comparison above).  Exact equality throughout."""
     rng = random.Random(hash(sub.name) & 0xFFFF)
     count = 0
     oracle_checked = 0
@@ -166,6 +187,7 @@ def test_criterion_4_uniqueness_oracle_equivalence(sub):
         if net.n <= 6:
             oracle_checked += 1
             assert equivalent(net, rep.network)
+            assert _search_equivalent(net, rep.network)
         else:
             ra = a_closure(net).network
             rb = a_closure(rep.network).network
@@ -179,7 +201,12 @@ def test_criterion_4_uniqueness_oracle_equivalence(sub):
 def test_criterion_5_theorems_as_properties(sub):
     """>= 200 path-consistent networks per subalgebra (n <= 5) are minimal
     and weakly globally consistent; closure entries sit below every path
-    composition; cycle compositions cover the overlap core."""
+    composition; cycle compositions cover the overlap core.
+
+    Over a distributive subalgebra ``check_minimal`` decides each pinned
+    basic by closure, so the search proof of minimality is
+    ``check_weak_global``: its restrictions to two variables pin every
+    basic of every entry into the network and search for an extension."""
     calc = sub.calculus
     count = 0
     for net in gen.path_consistent_instances(sub, 200, seed=2000 + len(sub),
@@ -216,7 +243,8 @@ def test_criterion_5_theorems_as_properties(sub):
 
 def test_criterion_6_baseline_nesting():
     """prime <= SimpleExt <= Simple as edge sets on every instance, and
-    both baselines' outputs are equivalent to the input for n <= 6."""
+    both baselines' outputs are equivalent to the input for n <= 6, by
+    ``equivalent`` and by the search of ``_search_equivalent``."""
     nets = []
     for sub in (d8_41(), d8_64()):
         nets.extend(gen.all_different_instances(sub, 40,
@@ -236,6 +264,8 @@ def test_criterion_6_baseline_nesting():
             checked_equiv += 1
             assert equivalent(net, simple_net)
             assert equivalent(net, simple_ext(net))
+            assert _search_equivalent(net, simple_net)
+            assert _search_equivalent(net, simple_ext(net))
     _done(6, f"nesting on {len(rows)} instances; {checked_equiv} "
              f"baseline outputs oracle-equivalent to their inputs")
 

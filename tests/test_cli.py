@@ -101,6 +101,23 @@ def test_redundant_exit_codes(capsys, example1_path):
     assert run(capsys, "redundant", example1_path, "3", "4")[0] == 1
 
 
+def test_minimal_check_guards_only_a_search(capsys, tmp_path):
+    import util_instances as gen
+
+    chain = "calculus RCC5\nvars 3\n1 2 PP\n2 3 PP\n"
+    closed, open_ = tmp_path / "closed.net", tmp_path / "open.net"
+    closed.write_text(chain + "1 3 PP\n")
+    open_.write_text(chain)
+    # basic, or basic but for one universal entry: the closure decides
+    assert run(capsys, "minimal-check", str(closed), "--guard", "0")[0] == 0
+    assert run(capsys, "minimal-check", str(open_), "--guard", "0")[0] == 1
+    hard = tmp_path / "hard.net"
+    dump(gen.intractable_network(13, 1041), hard)
+    code, out, err = run(capsys, "minimal-check", str(hard))
+    assert code == 2 and out == ""
+    assert [line.startswith("error:") for line in err.splitlines()] == [True]
+
+
 @pytest.mark.parametrize("argv,message", [
     (("redundant", "0", "2"), "variable number 0 out of range 1..5"),
     (("entails", "0", "3", "PP"), "variable number 0 out of range 1..5"),

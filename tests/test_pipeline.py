@@ -51,6 +51,10 @@ def test_pipeline_on_generated_regions(tmp_path, monkeypatch, n, profile):
     assert main(["gen-regions", "-n", str(n), "--seed", "7", "--profile",
                  profile, "-o", "regions.json"]) == 0
     _round_trip("regions.json")
+    if n == 40:
+        # a scenario is basic, so tractable: no search, whatever the guard
+        # (one probe per pair, so the 200-variable scenes would take seconds)
+        assert main(["minimal-check", "scene.net"]) == 0
 
 
 def test_pipeline_on_non_convex_regions(tmp_path, monkeypatch):

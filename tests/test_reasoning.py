@@ -39,6 +39,7 @@ from rcckit.reasoning import (
     _gathers,
     _narrow,
     _pca_lists,
+    _scenarios,
     _witness,
     a_closure,
     all_different,
@@ -633,6 +634,25 @@ def test_check_minimal_spots_unrealizable_basic():
     assert not check_minimal(net)
 
 
+def test_check_minimal_searches_only_off_the_tractable_subalgebras():
+    """Above the guard the closure decides every pinned copy of a network
+    over a tractable subalgebra; an intractable one still needs a search,
+    in check_minimal and in equivalent alike."""
+    sc = scenario_from_regions(generate_regions(13, 7, "nested"))
+    weak = weaken_scenario(sc, d8_41(), random.Random(13))
+    assert weak.n > reasoning.DEFAULT_GUARD
+    closed = a_closure(weak).network
+    assert check_minimal(closed)  # closed over D8_41: minimal
+    assert not check_minimal(weak)
+    hard = gen.intractable_network(13, 1041)
+    with pytest.raises(GuardExceededError):
+        check_minimal(hard)
+    i, j = next(p for p in hard.constraint_pairs()
+                if hard.mask(*p).bit_count() > 1)
+    with pytest.raises(GuardExceededError):
+        equivalent(hard, remove_constraint(hard, i, j))
+
+
 def test_check_weak_global_small_cases():
     single_edge = Network(RCC5, 2)
     single_edge[0, 1] = "PP|PO"
@@ -748,7 +768,8 @@ def test_cycle_lemma_on_all_different_networks(rcc5):
 
 # The oracle as it was before the probes shared one closed list matrix:
 # every probe copies the network, pins one entry and decides the copy
-# from scratch with is_consistent or solve.
+# from scratch: with is_consistent, which searches only off the tractable
+# subalgebras, or, where the question lists scenarios, with solve.
 
 
 def _ref_entails(net, i, j, r, guard):
@@ -773,7 +794,7 @@ def _ref_check_minimal(net, guard):
                 if net.mask(i, j) >> b & 1:
                     pinned = net.copy()
                     pinned.set_mask(i, j, 1 << b)
-                    if solve(pinned, guard=guard) is None:
+                    if not is_consistent(pinned, guard=guard):
                         return False
     return True
 
@@ -811,7 +832,7 @@ def _ref_equivalent(a, b, guard):
                     if int(extra[i, j]) >> bit & 1:
                         probe = net.copy()
                         probe.set_mask(i, j, 1 << bit)
-                        if solve(probe, guard=guard) is not None:
+                        if is_consistent(probe, guard=guard):
                             return False
     return True
 
@@ -944,7 +965,8 @@ def test_narrow_returns_before_copying_when_a_pin_misses():
     miss = calc.universal & ~m[i][j]
     _CountedRow.copies = 0
     assert _narrow(calc, m, [(i, j, m[i][j]), (j, i, miss)]) is None
-    assert _narrow(calc, m, [(i, j, miss)], search=True) is None
+    assert next(_scenarios(calc, _narrow(calc, m, [(i, j, miss)])),
+                None) is None
     assert _CountedRow.copies == 0
     # a pin on its entry copies every row and keeps the scenario
     assert _narrow(calc, m, [(i, j, m[i][j])]) == net.matrix.tolist()
@@ -1006,6 +1028,8 @@ def test_h5_fold_above_the_guard_matches_the_per_probe_reference():
             ref.set_mask(i, j, RCC5.universal)
     assert rep.network == ref
     assert 0 < len(rep.nontrivial) < net.constraint_count()
+    # H5 is tractable, so the oracle's probes need no search above the guard
+    assert equivalent(net, rep.network)
 
 
 def _search_inputs(n, seed, rcc5):
