@@ -167,6 +167,15 @@ class Calculus:
                   for b in basic_names)
             for a in basic_names)
         self._build_mask_tables()
+        # the first basic that is its own converse and composes with itself
+        # to the universal relation: DC in RCC8, DR in RCC5 (PO, later in
+        # both orders, is the other).  A composition of two relations that
+        # both hold it is universal, which is what lets the a-closure skip
+        # such terms; 0 when the calculus has no such basic
+        self.disjoint = next(
+            (1 << b for b in range(self.size)
+             if self.conv_table[1 << b] == 1 << b
+             and self.comp_table[1 << b, 1 << b] == self.universal), 0)
         # O_l, the converse-symmetric overlap core used by the cycle lemma:
         # every alpha . alpha^-1 with alpha != EQ contains it.
         po = 1 << self._index["PO"]
@@ -314,10 +323,6 @@ class Relation:
     @property
     def is_universal(self) -> bool:
         return self.mask == self.calculus.universal
-
-    @property
-    def is_basic(self) -> bool:
-        return self.mask != 0 and self.mask & (self.mask - 1) == 0
 
     def compose(self, other: "Relation") -> "Relation":
         self._check(other)

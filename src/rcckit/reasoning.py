@@ -3,15 +3,18 @@
 The a-closure (algebraic closure) is the fixed point of the refinement
 rule R_ij <- (R_ik . R_kj) & R_ij.  One engine, ``_close``, reaches it
 for every size and for a stack of matrices (p, n, n) at once, a single
-matrix being a stack of one: sweeps over blocks of rows that apply the
-rule for all k at once, the same block of every matrix of the stack in
-one gather, repeated until a sweep changes no matrix.  Every matrix stays
-in the stack to the end, one that empties an entry keeping its rows from
-then on, and the counts are the call's.  A block of rows gathers at most
-``_BLOCK_CELLS`` terms over the whole stack, or one row of each matrix,
-and the oracle's helper ``_closures`` hands one call at most
-max(1, _BLOCK_CELLS // n**2) matrices (``_blocks``): at n = 200 a call
-holds one matrix, and a stack gathers no more at a time than one does.
+matrix being a stack of one: whole-matrix sweeps, each narrowing every
+entry of every matrix still sweeping to its meet over the stack as it
+stood before the sweep, repeated until a sweep changes no matrix.  A
+matrix leaves the sweeps once one changes it no more or it empties an
+entry, which it then keeps as they were, and the counts are the call's.
+A sweep gathers only the terms that can narrow: the calculus's basic d
+(DC in RCC8, DR in RCC5) is its own converse and d . d = *, so row i
+gathers comp[R_ik, R_k:] only for the k with d not in R_ik, and the
+converse of the transposed meets supplies the rest (``_meets``).  It
+gathers them in chunks of at most ``_BLOCK_CELLS`` terms, and the
+oracle's helper ``_closures`` hands one call at most max(1, _BLOCK_CELLS
+// n**2) matrices (``_blocks``): at n = 200 a call holds one matrix.
 The sweeps run over a universal diagonal, so the meet they take for
 (i, j) runs over the k other than i and j: in the sweep that changes
 nothing it is Algorithm 1's Q_ij, which
@@ -21,17 +24,11 @@ closure decides consistency; ``_closure_decides`` is the test of that
 for a network, and ``_fit`` the one test that a subalgebra holds a
 network.  ``_entailed`` reads the same answer for every widened network
 of an entailment question off one bincount of the network's masks.
-One helper, ``_terms``, gathers the terms R_ik . R_kj of a block of rows
-through a uint16 index into the composition table (every mask is at
-most the universal one, and 2 * size <= 16 bits): ``_gathers`` takes
-every k for the Simple/SimpleExt engine (:mod:`rcckit.baselines`), which
-tests the gather directly.  The closure AND-reduces it, and only a
-block's first computation takes every k; a later one takes the k whose
-row changed since that block was last computed (``changed >= computed``,
-a row its own write moved included) and ANDs their terms into the
-block's previous meets.  For a single matrix the schedule of blocks and
-sweeps, and so the closed matrix, the counts, the witness and Q, are
-those of recomputing every block in full.
+One helper, ``_compose``, reads comp[r, s] through a uint16 index into
+the composition table (every mask is at most the universal one, and
+2 * size <= 16 bits), for the closure's gather and for ``_gathers``,
+which takes every k of a block of rows for the Simple/SimpleExt engine
+(:mod:`rcckit.baselines`).
 
 The backtracking oracle asks one question, through one probe, ``_narrow``:
 does the network keep a solution once some entries are narrowed?  The
@@ -98,8 +95,9 @@ __all__ = [
 
 DEFAULT_GUARD = 12
 
-# bounds the terms gathered per block of rows of a stack, and the entries
-# of the matrices one closure call holds (_blocks)
+# bounds the terms one gather holds (a chunk of a closure sweep, a block
+# of rows of _gathers), and the entries of the matrices one closure call
+# holds (_blocks)
 _BLOCK_CELLS = 2 ** 15
 
 
@@ -109,16 +107,19 @@ class AClosureResult:
 
     ``network`` is the path-consistent refinement when consistent;
     ``witness`` is the triple (i, k, j) whose rule application emptied
-    entry (i, j) otherwise; an entry already empty in the input is
-    reported as (i, i, j) with i < j, since no rule application emptied
-    it.  ``updates`` sums, over the row sweeps, the row entries each sweep
-    changed; an already closed input reports 0.  ``sweeps`` counts the row
+    entry (i, j) otherwise: the first entry in row-major order that a
+    sweep empties, replayed on the matrix as it stood before that sweep.
+    An entry already empty in the input is reported as (i, i, j) with
+    i < j, since no rule application emptied it.  ``updates`` sums, over
+    the whole-matrix sweeps, the entries each sweep changed, (i, j) and
+    (j, i) both; an already closed input reports 0.  ``sweeps`` counts the
     sweeps begun, the last one being the sweep that changed nothing or the
     one that emptied an entry: an already closed input reports 1, an input
     with an empty entry 0.  ``terms`` counts the composition terms
-    comp[R_ik, R_kj] the sweeps gathered: n**3 for an already closed
-    input, whose one sweep gathers every term once, 0 for an input with
-    an empty entry.
+    comp[R_ik, R_kj] the sweeps gathered: each sweep gathers n of them for
+    every (i, k) with d (DC in RCC8, DR in RCC5) not in R_ik and for every
+    k = i, at most n**3 and only n**2 where every entry holds d; 0 for an
+    input with an empty entry.
     """
 
     consistent: bool
@@ -180,23 +181,19 @@ def _pca_lists(calc, m: list[list[int]],
     return None
 
 
-def _terms(calc, rows: np.ndarray, m: np.ndarray,
-           ks=slice(None)) -> np.ndarray:
-    """comp[rows[..., i, k], m[..., k, j]] at [..., i, k, j], for the k in
-    ``ks`` (every k by default): the terms of the rule for a block of rows
-    of m, or for the same block of every matrix of a stack."""
+def _compose(calc, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """comp[r, s] elementwise, r and s broadcast together."""
     # comp_table[r, s] sits at (r << size) | s of the flattened table.
     # Every mask is at most universal and 2 * size <= 16, so the index is
     # built in uint16 (NEP 50 keeps uint16 << int in uint16) and read by
     # np.take, about a quarter cheaper than an intp index
-    pairs = (rows[..., ks, None] << calc.size) | m[..., None, ks, :]
-    return calc.comp_table.ravel().take(pairs)
+    return calc.comp_table.ravel().take((r << calc.size) | s)
 
 
 def _blocks(cells: int, total: int) -> list[slice]:
     """Consecutive slices of range(total), each of max(1, _BLOCK_CELLS //
-    cells) items of ``cells`` entries: the blocks of rows of a stack of
-    p n-variable matrices, in order, each row gathering p * n * n terms;
+    cells) items of ``cells`` entries: the blocks of rows of an n-variable
+    matrix that :func:`_gathers` yields, each row gathering n * n terms;
     and the stacks of n-variable matrices :func:`_closures` hands one
     :func:`_close` call, each matrix holding n * n entries.  Either way a
     block holds at most ``_BLOCK_CELLS`` of them, or one item."""
@@ -211,7 +208,39 @@ def _gathers(calc, m: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     before the next one is computed."""
     n = m.shape[0]
     for block in _blocks(n * n, n):
-        yield block, _terms(calc, m[block], m)
+        yield block, _compose(calc, m[block, :, None], m)
+
+
+def _meets(calc, m: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """A[..., i, :] = AND of comp[m[..., i, k], m[..., k, :]] over the k
+    with free[..., i, k], for a stack m (p, n, n); every row must have a
+    free k.  The terms are gathered in row-major order of (matrix, i, k),
+    in chunks of at most ``_BLOCK_CELLS`` of them, or of one (i, k), and
+    each chunk AND-reduces the part of each row's group it holds."""
+    n = m.shape[-1]
+    rows = m.reshape(-1, n)
+    at = np.flatnonzero(free)
+    # row (matrix, i) of each term, and the row (matrix, k) it composes with
+    row, k = np.divmod(at, n)
+    k_row = row - row % n + k
+    r = m.ravel().take(at)[:, None]
+    step = max(1, _BLOCK_CELLS // n)
+    if at.size <= step:
+        # one chunk, which holds the groups of every row in order
+        return np.bitwise_and.reduceat(
+            _compose(calc, r, rows.take(k_row, axis=0)),
+            row.searchsorted(np.arange(len(rows))), axis=0).reshape(m.shape)
+    a = np.full_like(rows, calc.universal)
+    for lo in range(0, at.size, step):
+        part = slice(lo, lo + step)
+        # every row has a term, so a chunk holds the groups of the rows
+        # from its first to its last, those two perhaps in part
+        held = row[part]
+        first, last = held[0], held[-1]
+        a[first:last + 1] &= np.bitwise_and.reduceat(
+            _compose(calc, r[part], rows.take(k_row[part], axis=0)),
+            held.searchsorted(np.arange(first, last + 1)), axis=0)
+    return a.reshape(m.shape)
 
 
 def _close(calc, m: np.ndarray) -> tuple:
@@ -219,110 +248,86 @@ def _close(calc, m: np.ndarray) -> tuple:
     (p, n, n) in place, each converse-symmetric with an EQ diagonal as a
     network's is; a single matrix is a stack of one.
 
-    Sweeps the rows in blocks, the same block of every matrix at once,
-    each gathering at most ``_BLOCK_CELLS`` terms over the whole stack or
-    one row of each matrix (:func:`_blocks`).  Each block is narrowed to
-    its meets AND_k comp[m[i, k], m[k, :]] and its converse mirrored into
-    the matching columns, until a sweep changes no matrix.  Entries only
-    shrink, so the sweeps terminate.  Every matrix stays in the stack to
-    the end: one that empties an entry records its witness and keeps its
-    rows from then on, and an input with an empty entry is reported as
-    (i, i, j), takes no part in the sweeps and comes back unchanged.  The
-    sweeps stop early once every matrix has a witness.  Returns
-    (witnesses, q, updates, sweeps, terms): one witness per matrix, None
-    on success; the Q stack, valid where the witness is None; and the
-    call's counts, as in :class:`AClosureResult` for a stack of one.
+    Each sweep reads the stack as it stood before the sweep and narrows
+    every entry to its meet Q_ij = AND_k comp[m[i, k], m[k, j]] at once,
+    until a sweep changes no matrix.  Entries only shrink, so the sweeps
+    terminate.  A matrix that empties an entry records its witness, the
+    first such entry in row-major order replayed on the matrix it swept
+    (:func:`_witness`), and keeps its entries from then on; an input with
+    an empty entry is reported as (i, i, j), takes no part in the sweeps
+    and comes back unchanged.  A matrix that a sweep left unchanged, or
+    that has a witness, is not swept again, and the sweeps stop once no
+    matrix is left.  Returns (witnesses, q, updates, sweeps, terms): one
+    witness per matrix, None on success; the Q stack, valid where the
+    witness is None; and the call's counts, as in :class:`AClosureResult`
+    for a stack of one.
 
     The sweeps run over a universal diagonal, restored to EQ on return:
-    * . r = r . * = * for every nonempty r, so the k = i and k = j terms,
-    which never narrow an entry, drop out, and the meets of row i are
-    Q_ij, the meet over every other k.  q holds each block's meets as of
-    its last computation: Q of the closed matrix, from the sweep that
-    changed nothing (its diagonal aside).
+    * . r = r . * = * for every nonempty r, so the k = i and k = j terms
+    never narrow an entry and Q_ij is the meet over every other k.  q
+    holds each matrix's Q from its last sweep, the one that changed
+    nothing: Algorithm 1's Q of the closed matrix (its diagonal aside).
 
-    Only a block's first computation gathers every k.  The term for k
-    reads R_ik and row k; a change at (i, k) changes row k too, through
-    the mirror, so marking the changed rows covers both.  Entries only
-    shrink and composition is monotone, so q already holds the term of
-    every k whose row has not changed since the block was last computed:
-    a later computation gathers the rows changed in any matrix of the
-    stack and ANDs their terms into the block's q rows, which so stay the
-    exact full meet.  The block's own write changes rows it read, so the
-    test is ``changed >= computed``, not ``>``; a block holding every row
-    would otherwise miss its own changes.  A block with no changed row
-    keeps its q rows, which its rows already equal, and is skipped.
-
-    A single matrix so takes the schedule, and so the updates, sweeps,
-    terms, witness and Q, of recomputing every block in full.  The closure
-    is the one fixed point of the rule whatever the schedule, so each
-    matrix of a larger stack reaches the closed matrix, the verdict and
-    the Q it reaches alone.
+    A sweep gathers only the terms that can narrow.  The calculus's basic
+    d (``Calculus.disjoint``) is its own converse and d . d = *, so a term
+    comp[m[i, k], m[k, j]] with d in m[i, k] and in m[k, j] is universal.
+    Row i gathers the k in K_i = {k : d not in m[i, k]}, and i itself,
+    whose term * . m[i, j] is universal too but gives each row a term
+    (:func:`_meets`): A[i, j] = AND over k in K_i.  Then Q = A &
+    conv[A^T], since conv(A[j, i]) is the meet over k in K_j of
+    conv(comp[m[j, k], m[k, i]]) = comp[m[i, k], m[k, j]], and every k
+    outside K_i and K_j gives a universal term.  So Q is exact and
+    converse-symmetric, and the narrowed stack needs no mirror write.  A
+    stack where no entry holds d gathers every k.
     """
     p, n = m.shape[:2]
     witnesses = [None] * p
-    # the matrices whose rows stay as they are: those with a witness
-    emptied = []
-    if not m.all():
+    # count_nonzero is the cheap test for an empty entry, .all() is not
+    if np.count_nonzero(m) < m.size:
         for t in (~m.all(axis=(1, 2))).nonzero()[0].tolist():
             i, j = np.argwhere(m[t] == 0)[0].tolist()
             witnesses[t] = i, i, j
-            emptied.append(t)
+    # the matrices still sweeping, by their place in m, and their stack
+    live = np.array([w is None for w in witnesses]).nonzero()[0]
+    cur = m if live.size == p else m[live]
     conv = calc.conv_table
     star = calc.universal
     diagonal = np.arange(n)
-    m[:, diagonal, diagonal] = star
-    # diagonal cells lie n + 1 apart in a block of rows flattened
-    step = n + 1
-    blocks = _blocks(p * n * n, n)
-    # the clock ticks once per block computed: when each block was last
-    # computed and each row last changed in a matrix of the stack, -1
-    # before the first computation so that it gathers every row
-    computed = [-1] * len(blocks)
-    changed_at = np.full(n, -1)
-    clock = 0
+    cur[:, diagonal, diagonal] = star
+    # star on the diagonal and 0 off it; d off it and 0 on it, so that
+    # each row gathers its own term
+    ring = np.zeros((n, n), np.uint16)
+    ring.flat[::n + 1] = star
+    hold = ~ring & calc.disjoint
     q = np.empty_like(m)
     updates = sweeps = terms = 0
-    changed = True
-    while changed and len(emptied) < p:
-        changed = False
+    while live.size:
         sweeps += 1
-        for b, block in enumerate(blocks):
-            ks = (changed_at >= computed[b]).nonzero()[0]
-            if not ks.size:
-                continue
-            computed[b] = clock
-            clock += 1
-            rows = m[:, block]
-            terms += rows.shape[1] * ks.size * n
-            if ks.size == n:
-                # the full meet: a slice reads faster than an index array
-                new = np.bitwise_and.reduce(_terms(calc, rows, m), axis=-2)
-            else:
-                new = q[:, block] & np.bitwise_and.reduce(
-                    _terms(calc, rows, m, ks), axis=-2)
-            q[:, block] = new
-            new &= rows
-            new.reshape(p, -1)[:, block.start::step] = star
-            if not new.all():
-                for t in (~new.all(axis=(1, 2))).nonzero()[0].tolist():
-                    if witnesses[t] is None:
-                        r, j = np.argwhere(new[t] == 0)[0].tolist()
-                        witnesses[t] = _witness(calc, m[t], block.start + r, j)
-                        emptied.append(t)
-                if len(emptied) == p:
-                    break
-            if emptied:
-                new[emptied] = rows[emptied]
-            moved_t, moved_i, moved_k = (new != rows).nonzero()
-            if not moved_t.size:
-                continue
-            updates += moved_t.size
-            changed = True
-            rows[:] = new
-            m[:, :, block] = conv[new].transpose(0, 2, 1)
-            # a change at (i, k) changes row k too, through the mirror
-            changed_at[block][moved_i] = computed[b]
-            changed_at[moved_k] = computed[b]
+        free = np.logical_not(cur & hold)
+        terms += int(np.count_nonzero(free)) * n
+        a = _meets(calc, cur, free)
+        # a universal diagonal in A, and so in Q and in the narrowed stack
+        a |= ring
+        swept_q = a & conv.take(a.transpose(0, 2, 1))
+        new = cur & swept_q
+        if np.count_nonzero(new) < new.size:
+            for s in (~new.all(axis=(1, 2))).nonzero()[0].tolist():
+                i, j = np.argwhere(new[s] == 0)[0].tolist()
+                witnesses[live[s]] = _witness(calc, cur[s], i, j)
+                new[s] = cur[s]
+        moved = new != cur
+        changed = int(np.count_nonzero(moved))
+        updates += changed
+        m[live] = new
+        q[live] = swept_q
+        if not changed:
+            break
+        if live.size > 1:
+            # the matrices that stop here: closed by this sweep, or emptied
+            going = moved.any(axis=(1, 2))
+            live = live[going]
+            new = new[going]
+        cur = new
     m[:, diagonal, diagonal] = calc.identity
     return witnesses, q, updates, sweeps, terms
 

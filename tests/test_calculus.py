@@ -163,6 +163,22 @@ def test_universal_absorbs_nonempty(calc):
         assert calc.compose_masks(mask, star) == star
 
 
+@pytest.mark.parametrize("calc,name", [(RCC5, "DR"), (RCC8, "DC")])
+def test_disjoint_composes_with_itself_to_universal(calc, name):
+    """r . s = * whenever r and s both hold ``disjoint``: the a-closure
+    skips those terms.  It is DC (DR), the first of the two basics that
+    are their own converse with a universal square; PO is the other."""
+    d = calc.disjoint
+    assert d == calc.parse(name)
+    assert [b for b in calc.basic_names
+            if converse(calc.relation(b)) == calc.relation(b)
+            and compose(calc.relation(b), calc.relation(b)).is_universal
+            ] == [name, "PO"]
+    assert all(calc.compose_masks(r, s) == calc.universal
+               for r in range(d, calc.universal + 1) if r & d
+               for s in range(d, calc.universal + 1) if s & d)
+
+
 def test_relation_set_operations():
     a = RCC5.relation("DR|PP")
     b = RCC5.relation("PO|PP")

@@ -200,6 +200,7 @@ def _eq_diagonal_close(calc, m):
                          ids=["default-blocks", "small-blocks"])
 def test_close_matches_the_eq_diagonal_sweep(monkeypatch, cells):
     # below 2**15 cells the blocks of the larger networks hold several rows
+    # and a sweep of _close gathers in several chunks
     monkeypatch.setattr(reasoning, "_BLOCK_CELLS", cells)
     paths = set()
     for rcc5, n in itertools.product((True, False), (2, 3, 5, 8, 17, 30, 80)):
@@ -209,46 +210,63 @@ def test_close_matches_the_eq_diagonal_sweep(monkeypatch, cells):
             calc = net.calculus
             ref = net.matrix.copy()
             expected = _eq_diagonal_close(calc, ref)
+            sweep = net.matrix.copy()
+            want = closure_reference.sweep_close(calc, sweep)
             # _close sweeps over a universal diagonal
             m = net.matrix.copy()
             (witness,), (q,), *counts, _ = _close(calc, m[None])
-            assert (witness, *counts) == expected, n
-            assert np.array_equal(m, ref), n
+            # the counts and the witness follow the whole-matrix schedule
+            assert (witness, *counts) == want[:3], n
+            assert np.array_equal(m, sweep), n
             assert (np.diagonal(m) == calc.identity).all(), n
-            witness, _, sweeps = expected
+            ref_witness, _, sweeps = expected
+            assert (witness is None) == (ref_witness is None), n
             if witness is None:
+                assert np.array_equal(m, ref), n
                 # Q: one more pass of the meets over a universal diagonal
                 wide = ref.copy()
                 np.fill_diagonal(wide, calc.universal)
-                want = np.concatenate(
+                want_q = np.concatenate(
                     [b for _, b in closure_reference.meets(calc, wide)])
                 off = ~np.eye(n, dtype=bool)
-                assert np.array_equal(q[off], want[off]), n
+                assert np.array_equal(q[off], want_q[off]), n
+            elif sweeps == 0:
+                assert witness == ref_witness, n
             paths.add("closed" if witness is None
                       else "empty" if sweeps == 0 else "witness")
     assert paths == {"closed", "witness", "empty"}
 
 
-def _assert_close_matches_the_reference(net):
-    """_close against the kernel that recomputes every block in full on
-    every sweep: equal (witness, updates, sweeps), matrix and
-    off-diagonal Q, and no more terms gathered.  Returns the path taken,
-    the terms _close gathered and the terms the reference gathered."""
+def _assert_close_matches_the_references(net):
+    """_close against the dense whole-matrix sweep, whose schedule it
+    keeps: equal witness, updates, sweeps and terms, matrix and
+    off-diagonal Q.  And against the block kernel that recomputes every
+    block in full on every sweep, another schedule: the same verdict and,
+    where consistent, the same closed matrix and off-diagonal Q.  Returns
+    the path taken, the terms _close gathered and the terms the block
+    kernel gathered."""
     calc = net.calculus
-    want_m = net.matrix.copy()
-    *want, want_q, want_terms = closure_reference.close(calc, want_m)
     m = net.matrix.copy()
-    (witness,), (q,), *counts, terms = _close(calc, m[None])
-    assert [witness, *counts] == want, net.n
-    assert np.array_equal(m, want_m), net.n
-    assert terms <= want_terms, net.n
-    witness, _, sweeps = want
+    (witness,), (q,), *counts = _close(calc, m[None])
+    sweep = net.matrix.copy()
+    *want, want_q, want_terms = closure_reference.sweep_close(calc, sweep)
+    assert [witness, *counts] == [*want, want_terms], net.n
+    assert np.array_equal(m, sweep), net.n
+    block = net.matrix.copy()
+    block_witness, _, _, block_q, block_terms = closure_reference.close(
+        calc, block)
+    assert (witness is None) == (block_witness is None), net.n
+    sweeps = want[2]
     if witness is None:
+        assert np.array_equal(m, block), net.n
         off = ~np.eye(net.n, dtype=bool)
         assert np.array_equal(q[off], want_q[off]), net.n
+        assert np.array_equal(q[off], block_q[off]), net.n
+    elif sweeps == 0:
+        assert witness == block_witness, net.n
     path = ("closed" if witness is None
             else "empty" if sweeps == 0 else "witness")
-    return path, terms, want_terms
+    return path, counts[-1], block_terms
 
 
 def _weakened_scene(n, seed, profile="mixed"):
@@ -260,35 +278,35 @@ def _weakened_scene(n, seed, profile="mixed"):
 
 @pytest.mark.parametrize("cells", [2 ** 15, 2 ** 8, 2 ** 6],
                          ids=["default-blocks", "small-blocks", "tiny-blocks"])
-def test_delta_sweeps_match_the_full_meet_reference(monkeypatch, cells):
-    # 19 variables fit one block of 2**15 cells: a sweep of that block
-    # reads rows its own previous write moved
+def test_close_matches_the_sweep_and_block_references(monkeypatch, cells):
+    # 19 variables fit one block of 2**15 cells; at 2**6 cells a chunk of
+    # the gather holds a few (i, k) and splits rows
     monkeypatch.setattr(reasoning, "_BLOCK_CELLS", cells)
     paths = set()
     for rcc5, n in itertools.product((True, False), (2, 3, 5, 8, 17, 30, 41)):
         empty = Network(RCC5 if rcc5 else RCC8, n)
         empty.set_mask(n - 1, 0, 0)
         for net in (*_closure_inputs(n, 500 + n, rcc5), empty):
-            paths.add(_assert_close_matches_the_reference(net)[0])
+            paths.add(_assert_close_matches_the_references(net)[0])
     for seed in range(4):
         net = _weakened_scene(19, seed)
-        assert _assert_close_matches_the_reference(net)[0] == "closed"
+        assert _assert_close_matches_the_references(net)[0] == "closed"
     assert paths == {"closed", "witness", "empty"}
 
 
-def test_delta_sweeps_gather_less_on_criterion_8s_instance():
-    # at 200 variables every block is one row
+def test_close_gathers_only_d_free_terms_on_criterion_8s_instance():
+    # the block kernel's rows each hold one block at 200 variables; a
+    # dense gather of every k would read n**3 terms a sweep
     n = 200
     net = _weakened_scene(n, 7, "nested")
-    path, terms, want = _assert_close_matches_the_reference(net)
+    path, terms, block_terms = _assert_close_matches_the_references(net)
     assert path == "closed"
-    assert want == 2 * n ** 3
-    assert terms <= 1.7 * n ** 3
+    assert block_terms == 2 * n ** 3
+    assert terms <= 0.5 * n ** 3
     assert a_closure(net).terms == terms
 
 
-def test_delta_sweeps_match_the_reference_on_a_reconstitution_seed(
-        monkeypatch):
+def test_close_matches_the_references_on_a_reconstitution_seed(monkeypatch):
     regions = generate_regions(100, 7, "scattered")
     scenario = scenario_from_regions(regions)
     seeds = []
@@ -302,8 +320,8 @@ def test_delta_sweeps_match_the_reference_on_a_reconstitution_seed(
     monkeypatch.setattr(reasoning, "a_closure", spy)
     assert hybrid_reconstitute(prime, regions) == scenario
     (seed,) = seeds
-    path, terms, want = _assert_close_matches_the_reference(seed)
-    assert path == "closed" and terms < want
+    path, terms, block_terms = _assert_close_matches_the_references(seed)
+    assert path == "closed" and terms < block_terms
 
 
 @st.composite
@@ -333,9 +351,9 @@ def _widened_scenarios(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_widened_scenarios(), st.sampled_from([2 ** 15, 2 ** 8, 2 ** 6]))
-def test_delta_sweeps_match_the_reference_property(net, cells):
+def test_close_matches_the_references_property(net, cells):
     with mock.patch.object(reasoning, "_BLOCK_CELLS", cells):
-        _assert_close_matches_the_reference(net)
+        _assert_close_matches_the_references(net)
 
 
 def _stack_inputs(n, seed, rcc5):
@@ -389,6 +407,130 @@ def test_a_stack_closes_as_each_matrix_alone(monkeypatch, cells):
                 assert (np.diagonal(closed) == calc.identity).all(), n
                 paths.add("witness")
     assert paths == {"closed", "witness", "empty"}
+
+
+def _mixed_stack(rng, rcc5, n, p):
+    """p n-variable matrices of one calculus, consistent and inconsistent
+    mixed: one polygon scene's scenario with entries widened, some with an
+    entry switched to another basic, networks of random masks, and now and
+    then an empty entry."""
+    sc = gen.random_scenario(n, rng.randrange(1000), rcc5=rcc5)
+    calc = sc.calculus
+    star = calc.universal
+    pairs = list(itertools.combinations(range(n), 2))
+    stack = []
+    for _ in range(p):
+        net = sc.copy()
+        roll = rng.random()
+        if roll < 0.8:
+            loose = rng.choice([0.3, 0.6, 0.9])
+            for i, j in pairs:
+                widen = rng.random()
+                if widen < loose:
+                    net.set_mask(i, j, star)
+                elif widen < loose + 0.2:
+                    net.set_mask(i, j, net.mask(i, j) | rng.randint(1, star))
+            if roll < 0.3:
+                i, j = rng.choice(pairs)
+                net.set_mask(i, j, 1 << rng.randrange(calc.size))
+        else:
+            for i, j in pairs:
+                net.set_mask(i, j, rng.randint(1, star))
+        if rng.random() < 0.05:
+            i, j = rng.choice(pairs)
+            net.set_mask(i, j, 0)
+        stack.append(net.matrix)
+    return calc, np.array(stack)
+
+
+def _assert_close_matches_the_former_kernel(calc, stack):
+    """_close and the former block kernel with delta sweeps on copies of a
+    stack: per matrix the same verdict and, where consistent, the same
+    closed matrix and off-diagonal Q; an empty input entry is its own
+    witness in both.  Returns the verdicts."""
+    m, old = stack.copy(), stack.copy()
+    witnesses, qs, *_ = _close(calc, m)
+    old_witnesses, old_qs, *_ = closure_reference.delta_close(calc, old)
+    off = ~np.eye(stack.shape[1], dtype=bool)
+    for t, (witness, was) in enumerate(zip(witnesses, old_witnesses)):
+        assert (witness is None) == (was is None), t
+        if witness is None:
+            assert np.array_equal(m[t], old[t]), t
+            assert np.array_equal(qs[t][off], old_qs[t][off]), t
+        elif was[0] == was[1]:
+            assert witness == was, t
+            assert np.array_equal(m[t], stack[t]), t
+    return [witness is None for witness in witnesses]
+
+
+def test_close_matches_the_former_block_kernel_side_by_side():
+    rng = random.Random(26)
+    verdicts = set()
+    for n in [*range(2, 42)] * 3:
+        calc, stack = _mixed_stack(rng, n % 2 == 0, n, rng.randint(1, 40))
+        verdicts.update(_assert_close_matches_the_former_kernel(calc, stack))
+    assert verdicts == {True, False}
+    # criterion 8's instance, which the former kernel swept row by row
+    net = _weakened_scene(200, 7, "nested")
+    assert _assert_close_matches_the_former_kernel(
+        net.calculus, net.matrix[None]) == [True]
+
+
+def _edge_networks(calc, n):
+    """Networks at the edges of the sparse gather: every entry universal,
+    so each holds d; a scenario in which every entry is d, so each row
+    gathers its own k alone; and a chain of proper parts weakened without
+    d, so each row gathers every k."""
+    d = closure_reference.disjoint(calc)
+    star = calc.universal
+    part = calc.parse("NTPP" if calc is RCC8 else "PP")
+    rng = random.Random(n)
+    universal, apart, chain = (Network(calc, n) for _ in range(3))
+    for i, j in itertools.combinations(range(n), 2):
+        apart.set_mask(i, j, d)
+        chain.set_mask(i, j, part if rng.random() < 0.5 else star & ~d)
+    return universal, apart, chain
+
+
+@pytest.mark.parametrize("cells", [2 ** 15, 2 ** 6],
+                         ids=["default-blocks", "tiny-blocks"])
+def test_close_on_the_edges_of_the_sparse_gather(monkeypatch, cells):
+    # at 2**6 cells a chunk holds 64 // n pairs (i, k): a sweep's gather
+    # splits into chunks within a matrix and within a row
+    monkeypatch.setattr(reasoning, "_BLOCK_CELLS", cells)
+    for calc, n in itertools.product((RCC5, RCC8), (1, 2, 3, 7, 12)):
+        universal, apart, chain = _edge_networks(calc, n)
+        for net in (universal, apart, chain):
+            assert _assert_close_matches_the_references(net)[0] == "closed"
+        for net in (universal, apart):
+            res = a_closure(net)
+            assert (res.updates, res.sweeps, res.terms) == (0, 1, n * n)
+            assert res.network == net
+        res = a_closure(chain)
+        assert res.terms == res.sweeps * n ** 3
+        assert res.network.matrix.tolist() == _ref_closed(chain)
+        members = [universal, apart, chain, res.network]
+        if n >= 3:
+            # one d entry against a chain of two proper parts
+            clash = apart.copy()
+            part = calc.parse("NTPP" if calc is RCC8 else "PP")
+            clash.set_mask(0, 1, part)
+            clash.set_mask(1, 2, part)
+            assert not a_closure(clash).consistent
+            hole = chain.copy()
+            hole.set_mask(n - 1, 0, 0)
+            members += [clash, hole]
+        stack = np.array([net.matrix for net in members])
+        verdicts = _assert_close_matches_the_former_kernel(calc, stack)
+        assert verdicts == [True] * 4 + [False] * (len(members) - 4)
+        # each matrix of the stack closes, or meets its witness, as alone
+        closed = stack.copy()
+        witnesses, *_ = _close(calc, closed)
+        for net, witness, got in zip(members, witnesses, closed):
+            res = a_closure(net)
+            assert witness == res.witness, n
+            if witness is None:
+                assert np.array_equal(got, res.network.matrix), n
 
 
 @pytest.mark.parametrize("cells", [2 ** 15, 2 ** 8],
